@@ -5,12 +5,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "bench_common.h"
 #include "core/object_store.h"
+#include "core/prepared_instance.h"
+#include "core/query_engine.h"
+#include "data/checkin_dataset.h"
 #include "geo/regions.h"
 #include "geo/convex_hull.h"
 #include "index/grid_index.h"
@@ -240,20 +245,27 @@ BENCHMARK(BM_ObjectStoreBuild);
 //                              tier (filter-and-refine, see
 //                              prob/influence_kernel_simd.h)
 
-/// Builds a kernel pinned to the scalar tier regardless of the CPU, so the
-/// KernelBatch rung keeps measuring the PR-3 scalar batch path.
-InfluenceKernel MakeForcedScalarKernel(const ProbabilityFunction& pf,
-                                       double tau) {
+/// Returns make() evaluated with PINOCCHIO_FORCE_SCALAR=1, so a kernel
+/// built inside is pinned to the scalar tier regardless of the CPU.
+template <typename Make>
+InfluenceKernel WithForcedScalar(const Make& make) {
   const char* saved = std::getenv("PINOCCHIO_FORCE_SCALAR");
   const std::string restore = saved != nullptr ? saved : "";
   setenv("PINOCCHIO_FORCE_SCALAR", "1", /*overwrite=*/1);
-  InfluenceKernel kernel(pf, tau);
+  InfluenceKernel kernel = make();
   if (saved != nullptr) {
     setenv("PINOCCHIO_FORCE_SCALAR", restore.c_str(), 1);
   } else {
     unsetenv("PINOCCHIO_FORCE_SCALAR");
   }
   return kernel;
+}
+
+/// Builds a kernel pinned to the scalar tier regardless of the CPU, so the
+/// KernelBatch rung keeps measuring the scalar batch path.
+InfluenceKernel MakeForcedScalarKernel(const ProbabilityFunction& pf,
+                                       double tau) {
+  return WithForcedScalar([&] { return InfluenceKernel(pf, tau); });
 }
 
 /// One validation workload: `num_objects` objects of `n` positions each,
@@ -354,6 +366,94 @@ void BM_ValidationSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidationSimd)->Arg(10)->Arg(72)->Arg(780);
 
+// ---------------------------------------------------------------------------
+// PIN-VO's validate phase on the path a top-k request takes:
+//   BM_VoValidateScalar — query::EvaluateBoundOrdered under the exact top-k
+//                         policy with the kernel forced to the scalar tier
+//   BM_VoValidateSimd   — the same loop on the auto-resolved SIMD tier
+//                         (DecideFiltered: position-lane filter + refine)
+// over a Gowalla-profile instance (x0.05, 400 sampled venues, top-16 —
+// the serving benchmark's vo-topk shape). The prune and order phases run
+// once outside the timed loop; each iteration validates fresh copies of
+// the brackets.
+
+/// One prepared Gowalla-profile instance with its pruned brackets and
+/// bound order.
+struct VoValidateWorkload {
+  PreparedInstance prepared;
+  query::CandidateBrackets brackets;
+  std::vector<uint32_t> order;
+
+  static ProblemInstance MakeInstance() {
+    const CheckinDataset suite =
+        GenerateCheckinDataset(DatasetSpec::Gowalla().Scaled(0.05));
+    ProblemInstance instance;
+    instance.objects = suite.objects;
+    instance.candidates =
+        SampleCandidates(suite, std::min<size_t>(400, suite.venues.size()),
+                         /*seed=*/101)
+            .points;
+    return instance;
+  }
+
+  static SolverConfig Config() {
+    SolverConfig config = bench::DefaultConfig();
+    config.top_k = 16;
+    return config;
+  }
+
+  VoValidateWorkload() : prepared(MakeInstance(), Config()) {
+    SolverStats stats;
+    brackets = query::BuildCandidateBrackets(prepared, prepared.kernel(),
+                                             /*use_pruning=*/true, &stats);
+    order = query::BoundDominationOrder(brackets);
+  }
+
+  /// One validate phase; returns its counters.
+  SolverStats Validate(const InfluenceKernel& kernel) const {
+    std::vector<int64_t> min_inf = brackets.min_inf;
+    std::vector<int64_t> max_inf = brackets.max_inf;
+    query::TopKCutoffPolicy policy(
+        std::min(prepared.config().top_k, order.size()), &min_inf, &max_inf);
+    const auto verification_set = [&](uint32_t j) {
+      return brackets.VerificationSet(j);
+    };
+    SolverStats stats;
+    query::EvaluateBoundOrdered(prepared, kernel, order, verification_set,
+                                &stats, policy);
+    benchmark::DoNotOptimize(min_inf.data());
+    return stats;
+  }
+};
+
+const VoValidateWorkload& SharedVoValidateWorkload() {
+  static const VoValidateWorkload workload;
+  return workload;
+}
+
+void RunVoValidate(benchmark::State& state, const InfluenceKernel& kernel) {
+  const VoValidateWorkload& workload = SharedVoValidateWorkload();
+  SolverStats stats;
+  for (auto _ : state) stats = workload.Validate(kernel);
+  state.SetLabel(SimdTierName(kernel.simd_tier()));
+  state.counters["pairs"] = static_cast<double>(stats.pairs_validated);
+  state.counters["refined"] = static_cast<double>(stats.pairs_refined);
+  state.counters["positions"] = static_cast<double>(stats.positions_scanned);
+  state.SetItemsProcessed(state.iterations() * stats.pairs_validated);
+}
+
+void BM_VoValidateScalar(benchmark::State& state) {
+  const VoValidateWorkload& workload = SharedVoValidateWorkload();
+  RunVoValidate(state,
+                WithForcedScalar([&] { return workload.prepared.kernel(); }));
+}
+BENCHMARK(BM_VoValidateScalar)->Unit(benchmark::kMillisecond);
+
+void BM_VoValidateSimd(benchmark::State& state) {
+  RunVoValidate(state, SharedVoValidateWorkload().prepared.kernel());
+}
+BENCHMARK(BM_VoValidateSimd)->Unit(benchmark::kMillisecond);
+
 /// Head-to-head comparison printed after the google-benchmark run; appends
 /// JSON lines to $PINOCCHIO_BENCH_JSON when set. Each rung gets a line
 /// keyed by a google-benchmark-style "name" ("BM_ValidationSimd/780") —
@@ -448,6 +548,55 @@ void RunValidationKernelComparison() {
            << ", \"simd_speedup\": " << simd_speedup
            << ", \"influenced_pairs\": " << simd_influenced << "}\n";
     }
+  }
+
+  // PIN-VO's validate phase, forced scalar vs the resolved tier. The loop's
+  // exact counters must agree; the ratio is the kernel figure on the path
+  // a top-k request takes.
+  const VoValidateWorkload& vo = SharedVoValidateWorkload();
+  const InfluenceKernel vo_scalar =
+      WithForcedScalar([&] { return vo.prepared.kernel(); });
+  const InfluenceKernel vo_simd = vo.prepared.kernel();
+  const SolverStats scalar_stats = vo.Validate(vo_scalar);
+  const SolverStats simd_stats = vo.Validate(vo_simd);
+  if (scalar_stats.pairs_validated != simd_stats.pairs_validated ||
+      scalar_stats.heap_pops != simd_stats.heap_pops ||
+      scalar_stats.strategy1_cutoffs != simd_stats.strategy1_cutoffs) {
+    std::cerr << "[vo-validate] COUNTER MISMATCH: pairs "
+              << scalar_stats.pairs_validated << " vs "
+              << simd_stats.pairs_validated << ", pops "
+              << scalar_stats.heap_pops << " vs " << simd_stats.heap_pops
+              << "\n";
+    std::exit(1);
+  }
+  constexpr int kVoReps = 5;
+  Stopwatch vo_scalar_watch;
+  for (int i = 0; i < kVoReps; ++i) vo.Validate(vo_scalar);
+  const double vo_scalar_seconds = vo_scalar_watch.ElapsedSeconds() / kVoReps;
+  Stopwatch vo_simd_watch;
+  for (int i = 0; i < kVoReps; ++i) vo.Validate(vo_simd);
+  const double vo_simd_seconds = vo_simd_watch.ElapsedSeconds() / kVoReps;
+  const double vo_speedup =
+      vo_simd_seconds > 0.0 ? vo_scalar_seconds / vo_simd_seconds : 0.0;
+  const double refined_share =
+      static_cast<double>(simd_stats.pairs_refined) /
+      static_cast<double>(std::max<int64_t>(1, simd_stats.pairs_validated));
+  std::cout << "\n[vo-validate] PIN-VO validate phase, Gowalla x0.05, 400 "
+               "candidates: scalar "
+            << vo_scalar_seconds * 1e3 << " ms, simd["
+            << SimdTierName(vo_simd.simd_tier()) << "] "
+            << vo_simd_seconds * 1e3 << " ms (" << vo_speedup << "x; "
+            << simd_stats.pairs_validated << " pairs, refined share "
+            << refined_share << ")\n";
+  if (json.is_open()) {
+    json << "{\"name\": \"BM_VoValidateScalar\", \"seconds\": "
+         << vo_scalar_seconds << "}\n";
+    json << "{\"name\": \"BM_VoValidateSimd\", \"seconds\": "
+         << vo_simd_seconds << ", \"tier\": \""
+         << SimdTierName(vo_simd.simd_tier())
+         << "\", \"speedup_vs_scalar\": " << vo_speedup
+         << ", \"pairs_validated\": " << simd_stats.pairs_validated
+         << ", \"pairs_refined\": " << simd_stats.pairs_refined << "}\n";
   }
 }
 

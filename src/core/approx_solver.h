@@ -15,9 +15,9 @@
 //     with width <= 2 * eps * num_objects — accepted approximately,
 //     carrying the certified bracket;
 //   * straddles the cutoff (or is wider than the cap) — the unsampled
-//     remainder of its verification set falls back to
-//     InfluenceKernel::DecideMany, collapsing the bracket to the exact
-//     influence.
+//     remainder of its verification set falls back to exact decisions
+//     (InfluenceKernel::DecideFiltered), collapsing the bracket to the
+//     exact influence.
 //
 // Every returned entry's bracket contains the candidate's exact influence
 // with probability >= 1 - delta, so the reported estimate (bracket
@@ -73,7 +73,9 @@ struct ApproxTopKResult {
   /// Verification-set records SKIPPED by bracket settlement (the work the
   /// exact solver would have validated).
   int64_t pairs_skipped = 0;
-  /// Unsampled records decided exactly during straddler refinement.
+  /// Unsampled records decided exactly during straddler refinement (not
+  /// to be confused with stats.pairs_refined, the validation loop's
+  /// scalar-refined filter band).
   int64_t pairs_refined = 0;
   SolverStats stats;
 };

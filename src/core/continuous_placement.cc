@@ -75,7 +75,7 @@ ContinuousPlacementResult PlaceAnywhere(
     ++result.cells_explored;
 
     const Point centre = cell.box.Center();
-    const int64_t exact = InfluenceOfCandidate(store, centre, pf);
+    const int64_t exact = InfluenceOfCandidate(prepared, centre);
     ++result.evaluations;
     if (exact > result.influence) {
       result.influence = exact;

@@ -66,6 +66,7 @@ IncrementalPrimeLS::IncrementalPrimeLS(std::vector<Point> candidates,
       influence_(candidates_.size(), 0),
       rtree_(config_.rtree_fanout) {
   PINO_CHECK(config_.pf != nullptr);
+  bound_table_ = MakeInfluenceBoundTable(*config_.pf, config_.tau);
   rtree_ = BuildCandidateRTree(candidates_, config_.rtree_fanout);
   for (uint32_t j = 0; j < candidates_.size(); ++j) order_.emplace(0, j);
 }
@@ -94,7 +95,7 @@ std::vector<uint32_t> IncrementalPrimeLS::InfluencedCandidates(
     std::span<const Point> positions, const Mbr& mbr, double radius) const {
   const InfluenceArcsRegion ia(mbr, radius);
   const NonInfluenceBoundary nib(mbr, radius);
-  const InfluenceKernel kernel(*config_.pf, config_.tau);
+  const InfluenceKernel kernel(bound_table_);
   std::vector<uint32_t> influenced;
   ClassifyCandidates(
       rtree_, ia, nib, kernel, positions,
@@ -179,12 +180,7 @@ bool IncrementalPrimeLS::UpdateObject(uint32_t object_id,
 void IncrementalPrimeLS::EnsureDeltaKernel() {
   if (delta_kernel_) return;
   self_check_ = SelfCheckEnabled();
-  delta_kernel_.emplace(*config_.pf, config_.tau);
-  // Built for its threshold table only — Filter() is never called, so the
-  // portable tier is fine on every architecture and under every override.
-  delta_table_ = std::make_shared<const SimdInfluenceFilter>(
-      *config_.pf, config_.tau, delta_kernel_->early_exit_log_survival(),
-      SimdTier::kPortable);
+  delta_kernel_.emplace(bound_table_);
 }
 
 void IncrementalPrimeLS::RefoldEntry(WatchEntry& entry,
@@ -239,7 +235,7 @@ void IncrementalPrimeLS::DecideEntry(WatchEntry& entry,
                                      const LiveObject& live) {
   const std::span<const Point> span = WindowSpan(live);
   const auto terms = static_cast<uint64_t>(span.size());
-  const simd_internal::FilterTable& table = delta_table_->table();
+  const InfluenceBoundTable& table = *bound_table_;
   bool influenced;
   if (entry.certain > 0) {
     influenced = true;  // a saturated position alone decides (Lemma 4)

@@ -184,7 +184,7 @@ class IncrementalPrimeLS {
 
   std::span<const Point> WindowSpan(const LiveObject& live) const;
 
-  /// Lazily constructs the kernel + threshold table the delta path uses.
+  /// Lazily constructs the kernel the delta path uses.
   void EnsureDeltaKernel();
   /// Lazily converts a batch-maintained object to delta maintenance.
   void EnsureDelta(LiveObject& live);
@@ -208,13 +208,15 @@ class IncrementalPrimeLS {
   RTree rtree_;
   std::unordered_map<uint32_t, LiveObject> objects_;
   std::unordered_map<size_t, double> radius_by_n_;
-  /// Delta-path evaluation context, built on first use: the exact scalar
-  /// kernel plus the certified influence/reject threshold table its
-  /// brackets are compared against. The table is the SIMD filter's — the
-  /// same machinery, used here purely for its scalar thresholds, so the
-  /// bracket decisions and the vector filter share one proof.
+  /// The certified bound table for (pf, tau), built once per maintainer:
+  /// every kernel here borrows it, and the delta brackets are compared
+  /// against its adjusted thresholds — the SIMD filter's machinery, used
+  /// here for its scalar thresholds, so the bracket decisions and the
+  /// vector filter share one proof.
+  std::shared_ptr<const InfluenceBoundTable> bound_table_;
+  /// The delta path's kernel, built on first use (its self-check flag is
+  /// sampled then).
   std::optional<InfluenceKernel> delta_kernel_;
-  std::shared_ptr<const SimdInfluenceFilter> delta_table_;
   bool self_check_ = false;
 };
 

@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/prepared_instance.h"
 #include "prob/influence_kernel.h"
 #include "util/logging.h"
 
 namespace pinocchio {
+namespace {
 
-int64_t InfluenceOfCandidate(const ObjectStore& store, const Point& candidate,
-                             const ProbabilityFunction& pf) {
-  const InfluenceKernel kernel(pf, store.tau());
+int64_t CountInfluenced(const ObjectStore& store, const Point& candidate,
+                        const InfluenceKernel& kernel) {
   int64_t influence = 0;
   for (const ObjectRecord& rec : store.records()) {
     if (!rec.nib.Contains(candidate)) continue;  // Lemma 3
@@ -19,14 +20,59 @@ int64_t InfluenceOfCandidate(const ObjectStore& store, const Point& candidate,
       ++influence;
       continue;
     }
-    if (kernel.Decide(candidate, store.positions(rec)).influenced) ++influence;
+    if (kernel.DecideFiltered(candidate, store.positions(rec)).influenced) {
+      ++influence;
+    }
   }
   return influence;
 }
 
+double WeightedScore(const ObjectStore& store, std::span<const double> weights,
+                     const Point& candidate, const InfluenceKernel& kernel) {
+  PINO_CHECK_EQ(weights.size(), store.records().size());
+  double score = 0.0;
+  for (size_t k = 0; k < store.records().size(); ++k) {
+    const ObjectRecord& rec = store.records()[k];
+    if (!rec.nib.Contains(candidate)) continue;
+    if ((!rec.ia.IsEmpty() && rec.ia.Contains(candidate)) ||
+        kernel.DecideFiltered(candidate, store.positions(rec)).influenced) {
+      score += weights[k];
+    }
+  }
+  return score;
+}
+
+/// Argmax of WeightedScore over `count` candidates (`candidate(j)` gives
+/// the j-th), first maximum wins.
+template <typename CandidateAt>
+std::pair<size_t, double> ArgmaxWeighted(const PreparedInstance& prepared,
+                                         std::span<const double> weights,
+                                         size_t count,
+                                         const CandidateAt& candidate) {
+  const InfluenceKernel kernel = prepared.kernel();
+  size_t best = 0;
+  double best_score = -std::numeric_limits<double>::infinity();
+  for (size_t j = 0; j < count; ++j) {
+    const double score =
+        WeightedScore(prepared.store(), weights, candidate(j), kernel);
+    if (score > best_score) {
+      best = j;
+      best_score = score;
+    }
+  }
+  return {best, best_score};
+}
+
+}  // namespace
+
+int64_t InfluenceOfCandidate(const ObjectStore& store, const Point& candidate,
+                             const ProbabilityFunction& pf) {
+  return CountInfluenced(store, candidate, InfluenceKernel(pf, store.tau()));
+}
+
 int64_t InfluenceOfCandidate(const PreparedInstance& prepared,
                              const Point& candidate) {
-  return InfluenceOfCandidate(prepared.store(), candidate, prepared.pf());
+  return CountInfluenced(prepared.store(), candidate, prepared.kernel());
 }
 
 int64_t InfluenceOfCandidate(const std::vector<MovingObject>& objects,
@@ -40,42 +86,23 @@ double WeightedInfluenceOfCandidate(const ObjectStore& store,
                                     std::span<const double> weights,
                                     const Point& candidate,
                                     const ProbabilityFunction& pf) {
-  PINO_CHECK_EQ(weights.size(), store.records().size());
-  const InfluenceKernel kernel(pf, store.tau());
-  double score = 0.0;
-  for (size_t k = 0; k < store.records().size(); ++k) {
-    const ObjectRecord& rec = store.records()[k];
-    if (!rec.nib.Contains(candidate)) continue;
-    if ((!rec.ia.IsEmpty() && rec.ia.Contains(candidate)) ||
-        kernel.Decide(candidate, store.positions(rec)).influenced) {
-      score += weights[k];
-    }
-  }
-  return score;
+  return WeightedScore(store, weights, candidate,
+                       InfluenceKernel(pf, store.tau()));
 }
 
 double WeightedInfluenceOfCandidate(const PreparedInstance& prepared,
                                     std::span<const double> weights,
                                     const Point& candidate) {
-  return WeightedInfluenceOfCandidate(prepared.store(), weights, candidate,
-                                      prepared.pf());
+  return WeightedScore(prepared.store(), weights, candidate,
+                       prepared.kernel());
 }
 
 std::pair<size_t, double> SelectWeighted(const PreparedInstance& prepared,
                                          std::span<const double> weights) {
   PINO_CHECK_EQ(weights.size(), prepared.num_objects());
   if (prepared.num_candidates() == 0) return {0, 0.0};
-  size_t best = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < prepared.num_candidates(); ++j) {
-    const double score = WeightedInfluenceOfCandidate(
-        prepared.store(), weights, prepared.candidate(j), prepared.pf());
-    if (score > best_score) {
-      best = j;
-      best_score = score;
-    }
-  }
-  return {best, best_score};
+  return ArgmaxWeighted(prepared, weights, prepared.num_candidates(),
+                        [&](size_t j) { return prepared.candidate(j); });
 }
 
 std::pair<size_t, double> SelectWeighted(
@@ -85,24 +112,15 @@ std::pair<size_t, double> SelectWeighted(
   PINO_CHECK_EQ(weights.size(), objects.size());
   if (candidates.empty()) return {0, 0.0};
   const PreparedInstance prepared(objects, config);
-  size_t best = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < candidates.size(); ++j) {
-    const double score = WeightedInfluenceOfCandidate(
-        prepared.store(), weights, candidates[j], prepared.pf());
-    if (score > best_score) {
-      best = j;
-      best_score = score;
-    }
-  }
-  return {best, best_score};
+  return ArgmaxWeighted(prepared, weights, candidates.size(),
+                        [&](size_t j) { return candidates[j]; });
 }
 
 InfluenceExplanation ExplainInfluence(const PreparedInstance& prepared,
                                       const Point& candidate) {
   const double tau = prepared.tau();
   const ObjectStore& store = prepared.store();
-  const InfluenceKernel kernel(prepared.pf(), tau);
+  const InfluenceKernel kernel = prepared.kernel();
 
   InfluenceExplanation explanation;
   for (const ObjectRecord& rec : store.records()) {

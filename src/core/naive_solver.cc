@@ -17,7 +17,7 @@ SolverResult NaiveSolver::Solve(const PreparedInstance& prepared) const {
   // The baseline deliberately evaluates the full cumulative probability of
   // every pair (no Lemma-4 early exit) so its positions_scanned reflects an
   // honest exhaustive scan.
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const InfluenceKernel kernel = prepared.kernel();
   const double tau = prepared.tau();
   const ObjectStore& store = prepared.store();
   for (size_t j = 0; j < m; ++j) {

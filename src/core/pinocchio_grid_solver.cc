@@ -23,7 +23,7 @@ SolverResult PinocchioGridSolver::Solve(const PreparedInstance& prepared) const 
   // Identical pipeline to PinocchioSolver, with the uniform grid standing
   // in for the candidate R-tree.
   const GridIndex grid(prepared.candidate_entries(), target_cells_);
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const InfluenceKernel kernel = prepared.kernel();
   PruneAndValidate(grid, prepared.store(), kernel, 0,
                    static_cast<uint32_t>(prepared.num_objects()),
                    result.influence, &result.stats);

@@ -37,7 +37,7 @@ SolverResult PinocchioHullSolver::Solve(const PreparedInstance& prepared) const 
     return result;
   }
 
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const InfluenceKernel kernel = prepared.kernel();
   const ObjectStore& store = prepared.store();
   const RTree& rtree = prepared.candidate_rtree();
 

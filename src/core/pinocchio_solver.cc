@@ -18,7 +18,7 @@ SolverResult PinocchioSolver::Solve(const PreparedInstance& prepared) const {
   // Algorithm 2 over the shared pipeline: Lemma-2 IA credits and Lemma-3
   // NIB exclusions per object, then batch validation of the remnant set
   // C'' against the object's arena span (with the Lemma-4 early exit).
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const InfluenceKernel kernel = prepared.kernel();
   PruneAndValidate(prepared.candidate_rtree(), prepared.store(), kernel, 0,
                    static_cast<uint32_t>(prepared.num_objects()),
                    result.influence, &result.stats);

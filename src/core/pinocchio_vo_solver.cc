@@ -39,7 +39,7 @@ SolverResult PinocchioVOSolver::Solve(const PreparedInstance& prepared) const {
     return result;
   }
 
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const InfluenceKernel kernel = prepared.kernel();
 
   // Prune phase: IA certificates as lower bounds, CSR verification sets,
   // maxInf = minInf + |VS| (query_engine.h documents the invariants; VO*

@@ -23,6 +23,7 @@ PreparedInstance::PreparedInstance(const ProblemInstance& instance,
     : config_(config),
       store_(BuildStore(instance.objects, config, &build_stats_)),
       entries_(MakeCandidateEntries(instance.candidates)) {
+  BuildBoundTable();
   BuildRTree();
   RefreshStoreStats();
   build_stats_.build_seconds =
@@ -34,8 +35,15 @@ PreparedInstance::PreparedInstance(const std::vector<MovingObject>& objects,
     : config_(config),
       store_(BuildStore(objects, config, &build_stats_)),
       rtree_(config.rtree_fanout) {
+  BuildBoundTable();
   RefreshStoreStats();
   build_stats_.build_seconds = build_stats_.store_seconds;
+}
+
+void PreparedInstance::BuildBoundTable() {
+  Stopwatch watch;
+  bound_table_ = MakeInfluenceBoundTable(*config_.pf, config_.tau);
+  build_stats_.store_seconds += watch.ElapsedSeconds();
 }
 
 void PreparedInstance::BuildRTree() {
@@ -63,6 +71,7 @@ void PreparedInstance::Reprepare(const SolverConfig& new_config) {
     Stopwatch watch;
     store_.Retune(*config_.pf, config_.tau);
     build_stats_.store_seconds = watch.ElapsedSeconds();
+    BuildBoundTable();
     ++build_stats_.store_builds;
     RefreshStoreStats();
     rebuilt_seconds += build_stats_.store_seconds;

@@ -40,6 +40,10 @@ struct SolverStats {
   int64_t pairs_pruned_by_nib = 0;
   /// Pairs that reached cumulative-probability validation.
   int64_t pairs_validated = 0;
+  /// Pairs of the bound-ordered validation loop that the SIMD filter left
+  /// to the exact scalar scan (its boundary band; every pair when the
+  /// filter is off). pairs_refined / pairs_validated is the band share.
+  int64_t pairs_refined = 0;
   /// Individual position probabilities evaluated during validation.
   int64_t positions_scanned = 0;
   /// Validations cut short by Strategy 2 (Lemma 4 early stop).

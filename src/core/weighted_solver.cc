@@ -90,7 +90,7 @@ WeightedSolverResult SolveWeightedPinocchio(const PreparedInstance& prepared,
   }
 
   const ObjectStore& store = prepared.store();
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const InfluenceKernel kernel = prepared.kernel();
 
   // Same classify-then-validate pipeline as the boolean solver; the only
   // difference is that certificates credit the object's weight instead of 1.
@@ -161,7 +161,7 @@ WeightedVOResult SolveWeightedPinocchioVO(const PreparedInstance& prepared,
   }
 
   const ObjectStore& store = prepared.store();
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const InfluenceKernel kernel = prepared.kernel();
 
   // Prune phase: IA certificates raise the lower bound; the verification
   // set carries the undecided weight. Like the boolean VO solver, the sets

@@ -115,6 +115,7 @@ std::string SolverRunJsonLine(const std::string& bench,
      << ",\"pairs_pruned_by_ia\":" << stats.pairs_pruned_by_ia
      << ",\"pairs_pruned_by_nib\":" << stats.pairs_pruned_by_nib
      << ",\"pairs_validated\":" << stats.pairs_validated
+     << ",\"pairs_refined\":" << stats.pairs_refined
      << ",\"positions_scanned\":" << stats.positions_scanned << "}";
   return os.str();
 }

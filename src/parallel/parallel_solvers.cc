@@ -50,7 +50,7 @@ SolverResult ParallelNaiveSolver::Solve(const PreparedInstance& prepared) const 
   result.influence.assign(m, 0);
   result.influence_exact = true;
 
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const InfluenceKernel kernel = prepared.kernel();
   const double tau = prepared.tau();
   const ObjectStore& store = prepared.store();
 
@@ -105,7 +105,7 @@ SolverResult ParallelPinocchioSolver::Solve(
 
   // One kernel shared by all workers: the SIMD tier is resolved once at
   // construction, so every thread batches through the same code path.
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const InfluenceKernel kernel = prepared.kernel();
   const ObjectStore& store = prepared.store();
   const RTree& rtree = prepared.candidate_rtree();
 
@@ -163,7 +163,7 @@ SolverResult ParallelPinocchioVOSolver::Solve(
     return result;
   }
 
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const InfluenceKernel kernel = prepared.kernel();
   const MorselScheduler scheduler(num_threads_);
 
   // -------------------------------------------------- phase 1: prune

@@ -1,8 +1,8 @@
 #include "prob/influence_kernel.h"
 
 #include <cmath>
-#include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "prob/influence.h"
@@ -12,25 +12,22 @@
 namespace pinocchio {
 
 InfluenceKernel::InfluenceKernel(const ProbabilityFunction& pf, double tau)
-    : pf_(&pf), tau_(tau), self_check_(SelfCheckEnabled()) {
-  PINO_CHECK_GT(tau, 0.0);
-  PINO_CHECK_LT(tau, 1.0);
-  // log1p and expm1 are faithfully rounded but not exact inverses, so
-  // -expm1(log1p(-tau)) may land an ulp below tau. Back the threshold off
-  // until crossing it provably implies the scalar test succeeds; expm1's
-  // monotonicity then guarantees agreement for every smaller log-survival.
-  double threshold = std::log1p(-tau);
-  while (-std::expm1(threshold) < tau) {
-    threshold =
-        std::nextafter(threshold, -std::numeric_limits<double>::infinity());
-  }
-  early_exit_log_survival_ = threshold;
-  tier_ = ResolveSimdTier();
-  if (tier_ != SimdTier::kScalar) {
-    filter_ = std::make_shared<const SimdInfluenceFilter>(
-        pf, tau, early_exit_log_survival_, tier_);
-  }
+    : pf_(&pf),
+      tau_(tau),
+      early_exit_log_survival_(CertifiedEarlyExitLogSurvival(tau)),
+      self_check_(SelfCheckEnabled()),
+      tier_(ResolveSimdTier()) {
+  if (tier_ != SimdTier::kScalar) table_ = MakeInfluenceBoundTable(pf, tau);
 }
+
+InfluenceKernel::InfluenceKernel(
+    std::shared_ptr<const InfluenceBoundTable> table)
+    : pf_(table->pf),
+      tau_(table->tau),
+      early_exit_log_survival_(table->influence_threshold),
+      self_check_(SelfCheckEnabled()),
+      tier_(ResolveSimdTier()),
+      table_(std::move(table)) {}
 
 double InfluenceKernel::Probability(const Point& candidate,
                                     std::span<const Point> positions) const {
@@ -73,6 +70,41 @@ InfluenceDecision InfluenceKernel::DecideImpl(
   return {-std::expm1(log_survival) >= tau_, seen, false};
 }
 
+void InfluenceKernel::CheckFilterDecision(const Point& candidate,
+                                          std::span<const Point> positions,
+                                          bool influenced) const {
+  const double probability = Probability(candidate, positions);
+  if ((probability >= tau_) == influenced) return;
+  std::ostringstream msg;
+  msg.precision(17);
+  msg << "SIMD filter (" << SimdTierName(tier_)
+      << ") disagrees with naive Pr_c(O) >= tau: certified "
+      << (influenced ? "influenced" : "not influenced")
+      << " but Pr_c(O)=" << probability << " vs tau=" << tau_
+      << " for candidate (" << candidate.x << ", " << candidate.y
+      << ") over " << positions.size() << " positions, pf=" << pf_->Name();
+  ReportSelfCheckViolation(msg.str());
+}
+
+InfluenceDecision InfluenceKernel::DecideFiltered(
+    const Point& candidate, std::span<const Point> positions) const {
+  if (tier_ != SimdTier::kScalar) {
+    const simd_internal::LaneOutcome lane =
+        simd_internal::FilterSpan(tier_, *table_, candidate, positions);
+    if (lane.state != simd_internal::LaneState::kUndecided) {
+      const bool influenced =
+          lane.state == simd_internal::LaneState::kInfluenced;
+      if (self_check_) CheckFilterDecision(candidate, positions, influenced);
+      return {influenced, lane.positions_seen,
+              influenced && lane.positions_seen < positions.size()};
+    }
+  }
+  // Boundary band (or no filter): the exact scalar path decides.
+  InfluenceDecision decision = Decide(candidate, positions);
+  decision.refined = true;
+  return decision;
+}
+
 InfluenceBatchCounters InfluenceKernel::DecideMany(
     std::span<const Point> candidates, std::span<const Point> positions,
     std::span<uint8_t> influenced) const {
@@ -81,11 +113,12 @@ InfluenceBatchCounters InfluenceKernel::DecideMany(
   // Below one vector's worth of lanes the filter can't win; empty position
   // spans are degenerate either way.
   constexpr size_t kMinFilterBatch = 4;
-  if (filter_ != nullptr && candidates.size() >= kMinFilterBatch &&
+  if (tier_ != SimdTier::kScalar && candidates.size() >= kMinFilterBatch &&
       !positions.empty()) {
     thread_local std::vector<simd_internal::LaneOutcome> outcomes;
     outcomes.resize(candidates.size());
-    filter_->Filter(candidates, positions, outcomes.data());
+    simd_internal::FilterCandidates(tier_, *table_, candidates, positions,
+                                    outcomes.data());
     const auto n = static_cast<uint32_t>(positions.size());
     for (size_t i = 0; i < candidates.size(); ++i) {
       const simd_internal::LaneOutcome& lane = outcomes[i];
@@ -104,19 +137,7 @@ InfluenceBatchCounters InfluenceKernel::DecideMany(
       counters.positions_seen += lane.positions_seen;
       if (lane_influenced && lane.positions_seen < n) ++counters.early_stops;
       if (self_check_) {
-        const double probability = Probability(candidates[i], positions);
-        if ((probability >= tau_) != lane_influenced) {
-          std::ostringstream msg;
-          msg.precision(17);
-          msg << "SIMD filter (" << SimdTierName(tier_)
-              << ") disagrees with naive Pr_c(O) >= tau: certified "
-              << (lane_influenced ? "influenced" : "not influenced")
-              << " but Pr_c(O)=" << probability << " vs tau=" << tau_
-              << " for candidate (" << candidates[i].x << ", "
-              << candidates[i].y << ") over " << positions.size()
-              << " positions, pf=" << pf_->Name();
-          ReportSelfCheckViolation(msg.str());
-        }
+        CheckFilterDecision(candidates[i], positions, lane_influenced);
       }
     }
     return counters;

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,19 @@ TEST(FormatSecondsTest, PicksUnits) {
   EXPECT_NE(FormatSeconds(0.0000005).find("us"), std::string::npos);
   EXPECT_NE(FormatSeconds(0.005).find("ms"), std::string::npos);
   EXPECT_NE(FormatSeconds(2.5).find("s"), std::string::npos);
+}
+
+TEST(SolverRunJsonLineTest, EmitsValidationCounters) {
+  SolverStats stats;
+  stats.pairs_validated = 120;
+  stats.pairs_refined = 3;
+  stats.positions_scanned = 4567;
+  const std::string line =
+      SolverRunJsonLine("bench", "gowalla", "PIN-VO", 10, 20, stats);
+  EXPECT_NE(line.find("\"pairs_validated\":120"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"pairs_refined\":3"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"positions_scanned\":4567"), std::string::npos)
+      << line;
 }
 
 TEST(BenchScaleTest, DefaultWhenUnset) {

@@ -348,6 +348,7 @@ class CaseChecker {
       if (a.pairs_pruned_by_ia != b.pairs_pruned_by_ia ||
           a.pairs_pruned_by_nib != b.pairs_pruned_by_nib ||
           a.pairs_validated != b.pairs_validated ||
+          a.pairs_refined != b.pairs_refined ||
           a.positions_scanned != b.positions_scanned ||
           a.early_stops != b.early_stops || a.heap_pops != b.heap_pops ||
           a.strategy1_cutoffs != b.strategy1_cutoffs) {
@@ -513,6 +514,7 @@ class CaseChecker {
         par_match = a.pairs_pruned_by_ia == b.pairs_pruned_by_ia &&
                     a.pairs_pruned_by_nib == b.pairs_pruned_by_nib &&
                     a.pairs_validated == b.pairs_validated &&
+                    a.pairs_refined == b.pairs_refined &&
                     a.positions_scanned == b.positions_scanned &&
                     a.early_stops == b.early_stops &&
                     a.heap_pops == b.heap_pops &&
