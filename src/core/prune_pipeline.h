@@ -10,9 +10,12 @@
 // the position counters belong to whoever validates the remnant.
 //
 // The index probe is compiled in prune_pipeline.cc (overloaded for the
-// R-tree and the grid) so there is exactly one QueryRect call site; callers
-// pass non-owning FunctionRef visitors, which keeps the per-object hot loop
-// free of std::function allocations.
+// R-tree and the grid) so there is exactly one range-query call site;
+// callers pass non-owning FunctionRef visitors, which keeps the per-object
+// hot loop free of std::function allocations. With a SIMD tier the R-tree
+// probe settles whole nodes first (corner bounds under the lane filter's
+// certified thresholds) and the lane filter classifies the rest; both
+// only ever skip exact predicate calls, never change a class.
 //
 // Under PINOCCHIO_SELF_CHECK (util/self_check.h) every record's
 // classification is audited against the scalar reference: each IA-certified
@@ -32,6 +35,7 @@
 #include "core/object_store.h"
 #include "core/solver.h"
 #include "index/rtree.h"
+#include "prob/prune_filter_simd.h"
 
 namespace pinocchio {
 
@@ -70,6 +74,14 @@ class FunctionRef<R(Args...)> {
 using PruneIaFn = FunctionRef<void(const RTreeEntry&, uint32_t)>;
 /// Visitor for remnant pairs that need cumulative-probability validation.
 using PruneRemnantFn = FunctionRef<void(const RTreeEntry&, uint32_t)>;
+/// Per-record visitor (record index, entries, classes): `entries` are the
+/// candidates the index returned for the record's NIB bounding box, in
+/// visit order, and classes[i] is the exact class of entries[i] — kOutside
+/// (Lemma 3), kIaCertified (Lemma 2) or kRemnant, never kUndecided. Called
+/// once for every record of the range, also when `entries` is empty. The
+/// spans are valid only for the duration of the call.
+using PruneRecordFn = FunctionRef<void(uint32_t, std::span<const RTreeEntry>,
+                                       std::span<const PruneLaneClass>)>;
 
 /// Classifies every candidate of `index` against records
 /// [first_record, last_record) of the store. Per pair inside the record's
@@ -89,6 +101,15 @@ void ClassifyCandidates(const GridIndex& index, const ObjectStore& store,
                         uint32_t last_record, size_t num_candidates,
                         SolverStats* stats, PruneIaFn ia_certified,
                         PruneRemnantFn remnant);
+
+/// The same classification handed over one record at a time, which spares
+/// hot callers (the bracket builders) one indirect call per pair. The
+/// per-pair overloads above are this loop with the IA/remnant visitors
+/// called in entry order.
+void ClassifyCandidates(const RTree& index, const ObjectStore& store,
+                        const InfluenceKernel& kernel, uint32_t first_record,
+                        uint32_t last_record, size_t num_candidates,
+                        SolverStats* stats, PruneRecordFn visit);
 
 /// Region-level variant for callers that maintain their own pruning
 /// geometry outside an ObjectStore (the incremental/dynamic path): one

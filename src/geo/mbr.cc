@@ -25,8 +25,6 @@ Mbr Mbr::Of(std::span<const Point> points) {
   return mbr;
 }
 
-bool Mbr::IsEmpty() const { return min_x_ > max_x_; }
-
 Point Mbr::Center() const {
   return {0.5 * (min_x_ + max_x_), 0.5 * (min_y_ + max_y_)};
 }
@@ -68,23 +66,6 @@ Mbr Mbr::Inflated(double margin) const {
   result.max_y_ += margin;
   PINO_CHECK_LE(result.min_x_, result.max_x_);
   return result;
-}
-
-bool Mbr::Contains(const Point& p) const {
-  return p.x >= min_x_ && p.x <= max_x_ && p.y >= min_y_ && p.y <= max_y_;
-}
-
-bool Mbr::Contains(const Mbr& other) const {
-  if (other.IsEmpty()) return true;
-  if (IsEmpty()) return false;
-  return other.min_x_ >= min_x_ && other.max_x_ <= max_x_ &&
-         other.min_y_ >= min_y_ && other.max_y_ <= max_y_;
-}
-
-bool Mbr::Intersects(const Mbr& other) const {
-  if (IsEmpty() || other.IsEmpty()) return false;
-  return min_x_ <= other.max_x_ && other.min_x_ <= max_x_ &&
-         min_y_ <= other.max_y_ && other.min_y_ <= max_y_;
 }
 
 double Mbr::IntersectionArea(const Mbr& other) const {

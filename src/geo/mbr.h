@@ -28,7 +28,7 @@ class Mbr {
   /// Tight MBR of a point set; empty if `points` is empty.
   static Mbr Of(std::span<const Point> points);
 
-  bool IsEmpty() const;
+  bool IsEmpty() const { return min_x_ > max_x_; }
 
   double min_x() const { return min_x_; }
   double min_y() const { return min_y_; }
@@ -54,11 +54,22 @@ class Mbr {
   Mbr Inflated(double margin) const;
 
   /// True if `p` lies inside or on the boundary.
-  bool Contains(const Point& p) const;
+  bool Contains(const Point& p) const {
+    return p.x >= min_x_ && p.x <= max_x_ && p.y >= min_y_ && p.y <= max_y_;
+  }
   /// True if `other` is fully inside (or equal to) this MBR.
-  bool Contains(const Mbr& other) const;
+  bool Contains(const Mbr& other) const {
+    if (other.IsEmpty()) return true;
+    if (IsEmpty()) return false;
+    return other.min_x_ >= min_x_ && other.max_x_ <= max_x_ &&
+           other.min_y_ >= min_y_ && other.max_y_ <= max_y_;
+  }
   /// True if the rectangles share at least a boundary point.
-  bool Intersects(const Mbr& other) const;
+  bool Intersects(const Mbr& other) const {
+    if (IsEmpty() || other.IsEmpty()) return false;
+    return min_x_ <= other.max_x_ && other.min_x_ <= max_x_ &&
+           min_y_ <= other.max_y_ && other.min_y_ <= max_y_;
+  }
   /// Area of the intersection (0 when disjoint).
   double IntersectionArea(const Mbr& other) const;
 

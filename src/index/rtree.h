@@ -82,8 +82,23 @@ class RTree {
   /// (boundary inclusive).
   template <typename Visitor>
   void QueryRect(const Mbr& rect, Visitor&& visit) const {
+    // A node inside the query needs no per-node tests below it.
+    QueryRectSettled(
+        rect, false, [&](const Mbr& box) { return rect.Contains(box); },
+        [&](const RTreeEntry& e, bool) { visit(e); });
+  }
+
+  /// QueryRect for callers that can decide a whole node at once: `settle`
+  /// is asked, top-down, for the MBR of every node the query reaches and
+  /// returns either `unsettled` or a verdict that holds for every point of
+  /// that MBR; the descent stops there. Visits the same entries in the
+  /// same order as QueryRect, as visit(entry, verdict) — `unsettled` for
+  /// entries no settled node covers.
+  template <typename Verdict, typename Settle, typename Visitor>
+  void QueryRectSettled(const Mbr& rect, Verdict unsettled, Settle&& settle,
+                        Visitor&& visit) const {
     if (!root_ || rect.IsEmpty()) return;
-    QueryRectNode(*root_, rect, visit);
+    QueryRectSettledNode(*root_, rect, unsettled, settle, visit);
   }
 
   /// Collects ids of all entries inside `rect`.
@@ -138,17 +153,38 @@ class RTree {
   void CondenseTree(std::vector<Node*>& path,
                     std::vector<RTreeEntry>* orphans);
 
-  template <typename Visitor>
-  void QueryRectNode(const Node& node, const Mbr& rect, Visitor& visit) const {
+  template <typename Verdict, typename Settle, typename Visitor>
+  void QueryRectSettledNode(const Node& node, const Mbr& rect,
+                            Verdict unsettled, Settle& settle,
+                            Visitor& visit) const {
+    const Verdict verdict = settle(node.mbr);
+    if (verdict != unsettled) {
+      const auto visit_inside = [&](const RTreeEntry& e) {
+        if (rect.Contains(e.point)) visit(e, verdict);
+      };
+      VisitSubtree(node, visit_inside);
+      return;
+    }
     if (node.is_leaf) {
       for (const RTreeEntry& e : node.entries) {
-        if (rect.Contains(e.point)) visit(e);
+        if (rect.Contains(e.point)) visit(e, unsettled);
       }
       return;
     }
     for (const auto& child : node.children) {
-      if (rect.Intersects(child->mbr)) QueryRectNode(*child, rect, visit);
+      if (rect.Intersects(child->mbr)) {
+        QueryRectSettledNode(*child, rect, unsettled, settle, visit);
+      }
     }
+  }
+
+  template <typename Visitor>
+  void VisitSubtree(const Node& node, Visitor& visit) const {
+    if (node.is_leaf) {
+      for (const RTreeEntry& e : node.entries) visit(e);
+      return;
+    }
+    for (const auto& child : node.children) VisitSubtree(*child, visit);
   }
 
   template <typename Visitor>

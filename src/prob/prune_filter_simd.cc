@@ -1,6 +1,9 @@
 #include "prob/prune_filter_simd.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #if defined(PINOCCHIO_SIMD_X86)
@@ -19,18 +22,20 @@ namespace {
 // few ulps — correctness never depends on it being tight.
 constexpr int kSlackSteps = 12;
 
+// nextafter walks done in the bit pattern: for a positive finite double,
+// the next representable value up (down) is the bit pattern plus (minus)
+// one. Both callers pass normal squares, so stepping down never reaches 0;
+// stepping up saturates at +inf like nextafter does.
 double StepDown(double v, int steps) {
-  for (int i = 0; i < steps; ++i) {
-    v = std::nextafter(v, -std::numeric_limits<double>::infinity());
-  }
-  return v;
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(v) -
+                               static_cast<uint64_t>(steps));
 }
 
 double StepUp(double v, int steps) {
-  for (int i = 0; i < steps; ++i) {
-    v = std::nextafter(v, std::numeric_limits<double>::infinity());
-  }
-  return v;
+  constexpr uint64_t kInfBits =
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity());
+  return std::bit_cast<double>(std::min(
+      std::bit_cast<uint64_t>(v) + static_cast<uint64_t>(steps), kInfBits));
 }
 
 }  // namespace

@@ -55,8 +55,11 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   PINO_CHECK_LE(lo, hi);
   const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
   if (range == 0) return static_cast<int64_t>(Next());  // full 64-bit range
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t limit = (~0ull) - ((~0ull) % range + 1) % range;
+  // Rejection sampling to avoid modulo bias. (2^64 - 1) % range < range,
+  // so one more than it wraps to 0 exactly when it reaches range — the
+  // same limit as a second modulo, one 64-bit division cheaper.
+  const uint64_t tail = (~0ull) % range + 1;
+  const uint64_t limit = (~0ull) - (tail == range ? 0 : tail);
   uint64_t v;
   do {
     v = Next();

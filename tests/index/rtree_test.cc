@@ -110,6 +110,62 @@ TEST(RTreeTest, RectQueryMatchesBruteForceInserted) {
   }
 }
 
+// QueryRect's whole-subtree shortcut (a node inside the query is visited
+// without per-entry tests) and QueryRectSettled's node verdicts must keep
+// QueryRect's exact visit order, and a verdict may only reach entries of
+// nodes it was given for.
+TEST(RTreeTest, SettledQueryKeepsQueryRectOrder) {
+  Rng rng(8128ull);
+  const std::vector<RTreeEntry> entries = RandomEntries(700, rng);
+  for (const bool bulk : {false, true}) {
+    RTree inserted(6);
+    if (!bulk) {
+      for (const RTreeEntry& e : entries) inserted.Insert(e.point, e.id);
+    }
+    const RTree tree = bulk ? RTree::BulkLoad(entries, 6) : std::move(inserted);
+    std::vector<uint32_t> dfs;  // every entry, in depth-first order
+    tree.QueryRect(tree.Bounds(), [&](const RTreeEntry& e) {
+      dfs.push_back(e.id);
+    });
+    ASSERT_EQ(dfs.size(), entries.size());
+    const Mbr region(200.0, 150.0, 700.0, 650.0);
+    for (int q = 0; q < 40; ++q) {
+      const double x = rng.Uniform(-100, 1000), y = rng.Uniform(-100, 1000);
+      const Mbr rect(x, y, x + rng.Uniform(0, 700), y + rng.Uniform(0, 700));
+      std::vector<uint32_t> want;
+      for (uint32_t id : dfs) {
+        if (rect.Contains(entries[id].point)) want.push_back(id);
+      }
+      std::vector<uint32_t> plain;
+      tree.QueryRect(rect, [&](const RTreeEntry& e) { plain.push_back(e.id); });
+      EXPECT_EQ(plain, want);
+
+      std::vector<uint32_t> settled;
+      size_t with_verdict = 0;
+      tree.QueryRectSettled(
+          rect, 0,
+          [&](const Mbr& box) { return region.Contains(box) ? 7 : 0; },
+          [&](const RTreeEntry& e, int verdict) {
+            settled.push_back(e.id);
+            if (verdict != 0) {
+              EXPECT_EQ(verdict, 7);
+              EXPECT_TRUE(region.Contains(e.point));
+              ++with_verdict;
+            }
+          });
+      EXPECT_EQ(settled, want);
+      std::vector<uint32_t> all_settled;
+      tree.QueryRectSettled(
+          rect, 0, [](const Mbr&) { return 1; },
+          [&](const RTreeEntry& e, int verdict) {
+            EXPECT_EQ(verdict, 1);
+            all_settled.push_back(e.id);
+          });
+      EXPECT_EQ(all_settled, want);
+    }
+  }
+}
+
 TEST(RTreeTest, CircleQueryMatchesBruteForceBulk) {
   Rng rng(5);
   const auto entries = RandomEntries(600, rng);

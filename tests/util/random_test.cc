@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +72,33 @@ TEST(RngTest, UniformIntSingleton) {
   Rng rng(19);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(rng.UniformInt(42, 42), 42);
+  }
+}
+
+// UniformInt's rejection limit is computed with one division fewer than
+// the textbook (2^64 - 1) - ((2^64 - 1) % range + 1) % range; the draws
+// (which seed every generated dataset) must stay identical to it.
+TEST(RngTest, UniformIntMatchesTextbookRejection) {
+  const auto reference = [](Rng& rng, int64_t lo, int64_t hi) {
+    const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+    const uint64_t limit = (~0ull) - ((~0ull) % range + 1) % range;
+    uint64_t v;
+    do {
+      v = rng.Next();
+    } while (v > limit);
+    return lo + static_cast<int64_t>(v % range);
+  };
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {0, 0},          {0, 1},           {3, 9},
+      {-5, 5},         {0, 2358},        {0, (int64_t{1} << 32) - 1},
+      {0, kMax},       {-kMax, kMax},    {0, (kMax / 3) * 2}};
+  Rng fast(77ull), slow(77ull);
+  for (int rep = 0; rep < 2000; ++rep) {
+    for (const auto& [lo, hi] : ranges) {
+      ASSERT_EQ(fast.UniformInt(lo, hi), reference(slow, lo, hi))
+          << "[" << lo << ", " << hi << "] rep " << rep;
+    }
   }
 }
 
