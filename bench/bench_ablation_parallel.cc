@@ -1,14 +1,14 @@
-// Morsel-engine scaling curve: PIN-P and PIN-VO-P against their sequential
-// counterparts across thread counts {1, 2, 4, hardware}, on one shared
+// Morsel-engine scaling curve: PIN and PIN-VO at thread budgets
+// {1, 2, 4, hardware} against their budget-1 runs, on one shared
 // PreparedInstance so only the query phase is timed. (An engineering
 // extension; the paper's prototype is single-threaded.)
 //
 // Emits google-benchmark-style JSON lines to $PINOCCHIO_BENCH_JSON —
 // "BM_ParallelScaling/PIN/<threads>" and "BM_ParallelScaling/PINVO/<threads>"
 // with speedup/efficiency fields — which scripts/check_bench_regression.py
-// gates in CI (--min-parallel-efficiency). Exits nonzero if any parallel
-// result diverges from the sequential solver: the engine's contract is
-// bit-identity at every thread count.
+// gates in CI (--min-parallel-efficiency). Exits nonzero if any budget's
+// result diverges from the budget-1 run: the engine's contract is
+// bit-identity at every thread budget.
 
 #include <algorithm>
 #include <cstdlib>
@@ -18,7 +18,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "parallel/parallel_solvers.h"
+#include "core/pinocchio_solver.h"
+#include "core/pinocchio_vo_solver.h"
 #include "util/stopwatch.h"
 
 namespace pinocchio {
@@ -68,6 +69,7 @@ void Main() {
   std::sort(rungs.begin(), rungs.end());
   rungs.erase(std::unique(rungs.begin(), rungs.end()), rungs.end());
 
+  // The baseline: a budget of one, the paper's single-threaded algorithms.
   PinocchioSolver pin_seq_solver;
   PinocchioVOSolver vo_seq_solver;
   SolverResult pin_seq, vo_seq;
@@ -85,15 +87,15 @@ void Main() {
   }
 
   TablePrinter table("Morsel-engine scaling (Gowalla, best of 3)",
-                     {"threads", "PIN-P", "speedup", "eff", "PIN-VO-P",
+                     {"threads", "PIN", "speedup", "eff", "PIN-VO",
                       "speedup", "eff", "agree"});
-  table.AddRow({"seq", FormatSeconds(pin_seq_seconds), "1.0x", "-",
+  table.AddRow({"base", FormatSeconds(pin_seq_seconds), "1.0x", "-",
                 FormatSeconds(vo_seq_seconds), "1.0x", "-", "-"});
 
   bool all_agree = true;
   for (const size_t threads : rungs) {
-    ParallelPinocchioSolver pin_par_solver(threads);
-    ParallelPinocchioVOSolver vo_par_solver(threads);
+    PinocchioSolver pin_par_solver(threads);
+    PinocchioVOSolver vo_par_solver(/*use_pruning=*/true, threads);
     SolverResult pin_par, vo_par;
     const double pin_seconds = TimeSolve(pin_par_solver, prepared, &pin_par);
     const double vo_seconds = TimeSolve(vo_par_solver, prepared, &vo_par);
@@ -129,8 +131,8 @@ void Main() {
   table.Print(std::cout);
 
   if (!all_agree) {
-    std::cerr << "[ablation_parallel] RESULT MISMATCH: a parallel solver "
-                 "diverged from its sequential counterpart\n";
+    std::cerr << "[ablation_parallel] RESULT MISMATCH: a thread budget "
+                 "diverged from the budget-1 run\n";
     std::exit(1);
   }
 }

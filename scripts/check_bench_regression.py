@@ -29,8 +29,12 @@ bench/baselines/bench-baseline.jsonl and fails (exit 1) when
     to).
 
 Only names matching --filter (default "BM_Validation") are pinned; other
-lines ride along in the artifact but are not gated. Regenerate the
-baseline after an intentional perf change with --write-baseline.
+lines ride along in the artifact but are not gated. A fresh file may hold
+several runs of the same benchmark (each run appends): every timing-derived
+figure ("seconds", "speedup_vs_scalar", "speedup_vs_exact", "efficiency")
+is then gated on its median over the runs, and "observed_error" on its
+worst run. Regenerate the baseline after an intentional perf change with
+--write-baseline (which records those medians).
 
 Usage:
   scripts/check_bench_regression.py --fresh bench-kernel.jsonl
@@ -39,16 +43,39 @@ Usage:
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "bench" / \
     "baselines" / "bench-baseline.jsonl"
 
+# Figures that vary run to run: gated on their median over repeated runs.
+MEDIAN_FIELDS = ("seconds", "speedup_vs_scalar", "speedup_vs_exact",
+                 "efficiency")
+# The accuracy certificate must hold on every run: gated on the worst.
+WORST_FIELDS = ("observed_error",)
+
+
+def summarise(runs):
+    """One entry for a benchmark's runs: the last run's fields, with each
+    timing-derived figure replaced by its median over the runs and the
+    observed error by its maximum, plus the run count."""
+    summary = dict(runs[-1])
+    for field, reduce in [(f, statistics.median) for f in MEDIAN_FIELDS] + \
+            [(f, max) for f in WORST_FIELDS]:
+        values = [run[field] for run in runs
+                  if isinstance(run.get(field), (int, float))]
+        if values:
+            summary[field] = reduce(values)
+    summary["runs"] = len(runs)
+    return summary
+
 
 def load_named_entries(path, name_filter):
-    """Returns {name: entry-dict} for JSONL lines with a matching "name"."""
-    entries = {}
+    """Returns {name: entry-dict} for JSONL lines with a matching "name",
+    summarising repeated runs of one name (see summarise)."""
+    runs = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
@@ -62,9 +89,8 @@ def load_named_entries(path, name_filter):
                 sys.exit(2)
             name = entry.get("name")
             if isinstance(name, str) and name.startswith(name_filter):
-                # Last occurrence wins: reruns append to the same file.
-                entries[name] = entry
-    return entries
+                runs.setdefault(name, []).append(entry)
+    return {name: summarise(entries) for name, entries in runs.items()}
 
 
 def main():
@@ -112,7 +138,9 @@ def main():
         baseline_path.parent.mkdir(parents=True, exist_ok=True)
         with open(baseline_path, "w", encoding="utf-8") as handle:
             for name in sorted(fresh):
-                handle.write(json.dumps(fresh[name], sort_keys=True) + "\n")
+                entry = dict(fresh[name])
+                entry.pop("runs")
+                handle.write(json.dumps(entry, sort_keys=True) + "\n")
         print(f"wrote {len(fresh)} entries to {baseline_path}")
         return 0
 
@@ -139,7 +167,8 @@ def main():
         ratio = fresh_seconds / base_seconds
         verdict = "FAIL" if ratio > args.max_regression else "ok"
         print(f"  {name}: baseline {base_seconds:.6g}s fresh "
-              f"{fresh_seconds:.6g}s ratio {ratio:.2f} [{verdict}]")
+              f"{fresh_seconds:.6g}s (median of {entry['runs']}) "
+              f"ratio {ratio:.2f} [{verdict}]")
         if ratio > args.max_regression:
             failures.append(
                 f"{name}: {ratio:.2f}x slower than baseline "
@@ -159,7 +188,8 @@ def main():
                 tier = simd.get("tier", "?")
                 verdict = "ok" if speedup >= args.min_simd_speedup else "FAIL"
                 print(f"  BM_ValidationSimd/780: {speedup:.1f}x over the "
-                      f"scalar reference (tier {tier}) [{verdict}]")
+                      f"scalar reference (tier {tier}, median of "
+                      f"{simd['runs']}) [{verdict}]")
                 if speedup < args.min_simd_speedup:
                     failures.append(
                         f"BM_ValidationSimd/780 speedup {speedup:.2f}x below "
@@ -185,8 +215,8 @@ def main():
                 verdict = "ok" if efficiency >= args.min_parallel_efficiency \
                     else "FAIL"
                 print(f"  {name}: parallel efficiency {efficiency:.2f} "
-                      f"(floor {args.min_parallel_efficiency:.2f}) "
-                      f"[{verdict}]")
+                      f"(median of {entry['runs']}, floor "
+                      f"{args.min_parallel_efficiency:.2f}) [{verdict}]")
                 if efficiency < args.min_parallel_efficiency:
                     failures.append(
                         f"{name} efficiency {efficiency:.2f} below the "
@@ -235,7 +265,8 @@ def main():
             speedup = frontier["speedup_vs_exact"]
             verdict = "ok" if speedup >= args.min_approx_speedup else "FAIL"
             print(f"  {frontier['name']}: {speedup:.2f}x over exact PIN-VO "
-                  f"(floor {args.min_approx_speedup:g}x) [{verdict}]")
+                  f"(median of {frontier['runs']}, floor "
+                  f"{args.min_approx_speedup:g}x) [{verdict}]")
             if speedup < args.min_approx_speedup:
                 failures.append(
                     f"{frontier['name']}: speedup {speedup:.2f}x below the "

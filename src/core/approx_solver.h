@@ -28,23 +28,20 @@
 // budgets >= every set size, the solver degenerates to exact PIN-VO
 // answers.
 //
-// Determinism: samples are pure in (seed, candidate index), the prune
-// phase's verification sets are byte-identical across thread counts, and
-// the evaluation walk is sequential — so results are bit-identical across
-// thread counts. parallel::query::SolveApproxTopKParallel only moves the
-// prune and order phases onto the morsel engine and reuses
-// SolveApproxTopKOnBrackets verbatim.
+// Threads: the prune phase runs on the morsel engine at the caller's
+// budget and its verification sets are byte-identical at every budget;
+// samples are pure in (seed, candidate index) and the evaluation walk runs
+// on the calling thread. Results, certified brackets included, are
+// therefore bit-identical at every thread budget.
 
 #ifndef PINOCCHIO_CORE_APPROX_SOLVER_H_
 #define PINOCCHIO_CORE_APPROX_SOLVER_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/prepared_instance.h"
-#include "core/query_engine.h"
 #include "core/solver.h"
 #include "prob/influence_sketch.h"
 
@@ -80,21 +77,11 @@ struct ApproxTopKResult {
   SolverStats stats;
 };
 
-/// Approximate top-k over a prepared instance at the sketch's (eps, delta).
+/// Approximate top-k over a prepared instance at the sketch's (eps, delta),
+/// with the prune phase at `num_threads` (0 = hardware concurrency).
 ApproxTopKResult SolveApproxTopK(const PreparedInstance& prepared, size_t k,
-                                 const SketchParams& params);
-
-/// The evaluation phase against brackets and an order built elsewhere (the
-/// parallel path builds both with the morsel engine and reuses this
-/// verbatim — results are bit-identical by construction). Consumes the
-/// brackets; fills entries, sketch counters and the validation counters of
-/// `result->stats`. Timing is the caller's job.
-void SolveApproxTopKOnBrackets(const PreparedInstance& prepared,
-                               const InfluenceKernel& kernel,
-                               const SketchParams& params, size_t k,
-                               std::span<const uint32_t> order,
-                               query::CandidateBrackets* brackets,
-                               ApproxTopKResult* result);
+                                 const SketchParams& params,
+                                 size_t num_threads = 1);
 
 }  // namespace pinocchio
 

@@ -8,20 +8,32 @@
 
 namespace pinocchio {
 
+PinocchioSolver::PinocchioSolver(size_t num_threads)
+    : num_threads_(MorselScheduler(num_threads).num_threads()) {}
+
+std::string PinocchioSolver::Name() const {
+  return internal::BudgetedName("PIN", num_threads_);
+}
+
 SolverResult PinocchioSolver::Solve(const PreparedInstance& prepared) const {
   Stopwatch watch;
   SolverResult result;
-  const size_t m = prepared.num_candidates();
-  result.influence.assign(m, 0);
   result.influence_exact = true;
 
   // Algorithm 2 over the shared pipeline: Lemma-2 IA credits and Lemma-3
   // NIB exclusions per object, then batch validation of the remnant set
   // C'' against the object's arena span (with the Lemma-4 early exit).
   const InfluenceKernel kernel = prepared.kernel();
-  PruneAndValidate(prepared.candidate_rtree(), prepared.store(), kernel, 0,
-                   static_cast<uint32_t>(prepared.num_objects()),
-                   result.influence, &result.stats);
+  const ObjectStore& store = prepared.store();
+  const RTree& rtree = prepared.candidate_rtree();
+  const MorselScheduler scheduler(num_threads_);
+  const std::vector<Morsel> morsels = PlanMorsels(store, scheduler);
+  result.influence = RunPruneMorsels(
+      scheduler, morsels, prepared.num_candidates(), &result.stats,
+      [&](PruneAccumulator& acc, size_t, const Morsel& morsel) {
+        PruneAndValidate(rtree, store, kernel, morsel.first_record,
+                         morsel.last_record, acc.influence, &acc.stats);
+      });
 
   internal::FinalizeResultFromInfluence(&result);
   internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());

@@ -4,6 +4,8 @@
 #ifndef PINOCCHIO_CORE_PINOCCHIO_SOLVER_H_
 #define PINOCCHIO_CORE_PINOCCHIO_SOLVER_H_
 
+#include <cstddef>
+
 #include "core/solver.h"
 
 namespace pinocchio {
@@ -15,12 +17,22 @@ namespace pinocchio {
 /// non-influence boundary discards every candidate outside it (Lemma 3);
 /// the remnant candidates are validated with a full cumulative-probability
 /// scan. Influence counts are exact for all candidates.
+///
+/// `num_threads` is the morsel-engine budget (0 = hardware concurrency):
+/// workers run the pipeline over record morsels into private counts that
+/// are summed at the end, so influence and every counter are identical at
+/// every budget.
 class PinocchioSolver : public Solver {
  public:
-  std::string Name() const override { return "PIN"; }
+  explicit PinocchioSolver(size_t num_threads = 1);
+
+  std::string Name() const override;
 
   using Solver::Solve;
   SolverResult Solve(const PreparedInstance& prepared) const override;
+
+ private:
+  size_t num_threads_;
 };
 
 }  // namespace pinocchio

@@ -1,7 +1,9 @@
 #include "core/pinocchio_vo_solver.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "core/prepared_instance.h"
 #include "core/query_engine.h"
@@ -10,21 +12,14 @@
 
 namespace pinocchio {
 
-namespace vo_internal {
+PinocchioVOSolver::PinocchioVOSolver(bool use_pruning, size_t num_threads)
+    : use_pruning_(use_pruning),
+      num_threads_(MorselScheduler(num_threads).num_threads()) {}
 
-void ValidateBoundOrdered(
-    const PreparedInstance& prepared, const InfluenceKernel& kernel,
-    std::span<const uint32_t> order,
-    FunctionRef<std::span<const uint32_t>(uint32_t)> verification_set,
-    size_t top_k, std::vector<int64_t>* min_inf, std::vector<int64_t>* max_inf,
-    SolverResult* result) {
-  query::TopKCutoffPolicy policy(std::min(top_k, order.size()), min_inf,
-                                 max_inf);
-  query::EvaluateBoundOrdered(prepared, kernel, order, verification_set,
-                              &result->stats, policy);
+std::string PinocchioVOSolver::Name() const {
+  return internal::BudgetedName(use_pruning_ ? "PIN-VO" : "PIN-VO*",
+                                num_threads_);
 }
-
-}  // namespace vo_internal
 
 SolverResult PinocchioVOSolver::Solve(const PreparedInstance& prepared) const {
   const SolverConfig& config = prepared.config();
@@ -44,21 +39,23 @@ SolverResult PinocchioVOSolver::Solve(const PreparedInstance& prepared) const {
   // Prune phase: IA certificates as lower bounds, CSR verification sets,
   // maxInf = minInf + |VS| (query_engine.h documents the invariants; VO*
   // skips the phase and starts every candidate at [0, r]).
-  query::CandidateBrackets brackets =
-      query::BuildCandidateBrackets(prepared, kernel, use_pruning_,
-                                    &result.stats);
+  query::CandidateBrackets brackets = query::BuildCandidateBrackets(
+      prepared, kernel, use_pruning_, &result.stats, num_threads_);
 
   // Max-heap over candidates ordered by maxInf, then minInf (Algorithm 3
   // line 13); realised as a sorted order since bounds of waiting candidates
   // do not change once the prune phase is over.
   const std::vector<uint32_t> order = query::BoundDominationOrder(brackets);
 
+  // Validation (Algorithm 3 lines 13-27): the bound-ordered loop under the
+  // exact top-k cut-off, tightening the brackets in place.
+  query::TopKCutoffPolicy policy(std::min<size_t>(config.top_k, m),
+                                 &brackets.min_inf, &brackets.max_inf);
   const auto verification_set = [&](uint32_t j) -> std::span<const uint32_t> {
     return brackets.VerificationSet(j);
   };
-  vo_internal::ValidateBoundOrdered(prepared, kernel, order, verification_set,
-                                    config.top_k, &brackets.min_inf,
-                                    &brackets.max_inf, &result);
+  query::EvaluateBoundOrdered(prepared, kernel, order, verification_set,
+                              &result.stats, policy);
 
   // minInf is exact for every fully validated candidate and a valid lower
   // bound for the rest; by construction the k best exact values dominate

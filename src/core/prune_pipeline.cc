@@ -356,4 +356,40 @@ void PruneAndValidate(const GridIndex& index, const ObjectStore& store,
                        influence, stats);
 }
 
+std::vector<Morsel> PlanMorsels(const ObjectStore& store,
+                                const MorselScheduler& scheduler) {
+  const auto r = static_cast<uint32_t>(store.size());
+  if (r == 0) return {};
+  if (scheduler.num_threads() == 1) return {Morsel{0, r}};
+  std::vector<uint32_t> counts;
+  counts.reserve(r);
+  for (const ObjectRecord& rec : store.records()) {
+    counts.push_back(rec.position_count);
+  }
+  return PlanMorsels(counts, scheduler.RecordPlan());
+}
+
+std::vector<int64_t> RunPruneMorsels(
+    const MorselScheduler& scheduler, std::span<const Morsel> morsels,
+    size_t num_candidates, SolverStats* stats,
+    FunctionRef<void(PruneAccumulator&, size_t, const Morsel&)> body) {
+  std::vector<PruneAccumulator> workers(
+      scheduler.NumWorkers(morsels.size()));
+  if (workers.empty()) return std::vector<int64_t>(num_candidates, 0);
+  for (PruneAccumulator& w : workers) w.influence.assign(num_candidates, 0);
+  scheduler.Run(morsels, [&](size_t w, size_t index, const Morsel& morsel) {
+    body(workers[w], index, morsel);
+  });
+  std::vector<int64_t> influence = std::move(workers[0].influence);
+  for (size_t w = 1; w < workers.size(); ++w) {
+    for (size_t j = 0; j < num_candidates; ++j) {
+      influence[j] += workers[w].influence[j];
+    }
+  }
+  if (stats != nullptr) {
+    for (const PruneAccumulator& w : workers) stats->AddCounters(w.stats);
+  }
+  return influence;
+}
+
 }  // namespace pinocchio

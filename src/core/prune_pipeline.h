@@ -31,10 +31,12 @@
 #include <span>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "core/object_store.h"
 #include "core/solver.h"
 #include "index/rtree.h"
+#include "parallel/morsel_scheduler.h"
 #include "prob/prune_filter_simd.h"
 
 namespace pinocchio {
@@ -136,6 +138,30 @@ void PruneAndValidate(const GridIndex& index, const ObjectStore& store,
                       const InfluenceKernel& kernel, uint32_t first_record,
                       uint32_t last_record, std::span<int64_t> influence,
                       SolverStats* stats);
+
+/// The record morsels of a pass over `store` on `scheduler`: at a budget
+/// of one the single morsel [0, store.size()), else PlanMorsels over the
+/// records' position counts with the scheduler's RecordPlan().
+std::vector<Morsel> PlanMorsels(const ObjectStore& store,
+                                const MorselScheduler& scheduler);
+
+/// One morsel-engine worker's share of a prune pass: per-candidate counts
+/// plus work counters, padded to its own cache lines so one worker's
+/// per-pair increments never invalidate another's.
+struct alignas(128) PruneAccumulator {
+  std::vector<int64_t> influence;
+  SolverStats stats;
+};
+
+/// Runs body(accumulator, morsel_index, morsel) once per record morsel on
+/// `scheduler`, each worker into its own accumulator of `num_candidates`
+/// counts, and returns the per-candidate sums; the workers' counters are
+/// added to `stats` (nullable). Integer sums, so the result is the same at
+/// any thread budget.
+std::vector<int64_t> RunPruneMorsels(
+    const MorselScheduler& scheduler, std::span<const Morsel> morsels,
+    size_t num_candidates, SolverStats* stats,
+    FunctionRef<void(PruneAccumulator&, size_t, const Morsel&)> body);
 
 }  // namespace pinocchio
 

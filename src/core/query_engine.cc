@@ -12,71 +12,46 @@ namespace pinocchio {
 namespace query {
 namespace {
 
-/// Remnant-list capacity (pairs) a thread keeps between solves; a larger
-/// scratch is released after its solve so one huge query does not pin its
-/// memory for the thread's lifetime.
+/// Remnant-list capacity (pairs, summed over a thread's lists) kept between
+/// solves; a larger scratch is released after its solve so one huge query
+/// does not pin its memory for the thread's lifetime.
 constexpr size_t kMaxRetainedRemnants = size_t{1} << 22;
 
-}  // namespace
+/// The remnant pairs of one record morsel, record-major: record
+/// first_record + i owns candidates[record_ends[i - 1], record_ends[i])
+/// (from 0 for i = 0), in prune visit order. Four bytes per pair, and the
+/// transposition into per-candidate sets reads it once.
+struct RemnantLists {
+  uint32_t first_record = 0;
+  std::vector<uint32_t> candidates;
+  std::vector<uint32_t> record_ends;
 
-CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
-                                         const InfluenceKernel& kernel,
-                                         bool use_pruning, SolverStats* stats) {
-  const ObjectStore& store = prepared.store();
-  const size_t m = prepared.num_candidates();
-  const auto r = static_cast<int64_t>(store.size());
-
-  CandidateBrackets brackets;
-  brackets.pruned = use_pruning;
-  brackets.min_inf.assign(m, 0);
-  brackets.max_inf.assign(m, r);
-  if (!use_pruning) {
-    // PINOCCHIO-VO*: no pruning phase; every object must be verified.
-    brackets.all_records.resize(static_cast<size_t>(r));
-    std::iota(brackets.all_records.begin(), brackets.all_records.end(), 0u);
-    return brackets;
-  }
-
-  // The record-major lists are scratch, one per thread and kept across
-  // solves: a fresh multi-megabyte buffer per solve costs a page fault per
-  // 4 KiB on every solve (~1.5 ms of a 3 ms prune on the approximate
-  // frontier's n2400 instance), one regrown only on the first.
-  thread_local RemnantLists remnants;
-  remnants.candidates.clear();
-  remnants.record_ends.clear();
-  ClassifyCandidates(
-      prepared.candidate_rtree(), store, kernel, 0, static_cast<uint32_t>(r),
-      m, stats,
-      [&](uint32_t, std::span<const RTreeEntry> entries,
-          std::span<const PruneLaneClass> classes) {
-        remnants.AddRecord(entries, classes, brackets.min_inf);
-      });
-  FinishBrackets(&brackets, std::span(&remnants, 1));
-  if (remnants.candidates.capacity() > kMaxRetainedRemnants) {
-    remnants = RemnantLists();
-  }
-  return brackets;
-}
-
-void RemnantLists::AddRecord(std::span<const RTreeEntry> entries,
-                             std::span<const PruneLaneClass> classes,
-                             std::span<int64_t> min_inf) {
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (classes[i] == PruneLaneClass::kIaCertified) {
-      ++min_inf[entries[i].id];
-    } else if (classes[i] == PruneLaneClass::kRemnant) {
-      candidates.push_back(entries[i].id);
+  /// Appends one classified record (the next of the morsel): raises
+  /// `min_inf` for its IA-certified candidates and lists its remnant ones.
+  void AddRecord(std::span<const RTreeEntry> entries,
+                 std::span<const PruneLaneClass> classes,
+                 std::span<int64_t> min_inf) {
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (classes[i] == PruneLaneClass::kIaCertified) {
+        ++min_inf[entries[i].id];
+      } else if (classes[i] == PruneLaneClass::kRemnant) {
+        candidates.push_back(entries[i].id);
+      }
     }
+    record_ends.push_back(static_cast<uint32_t>(candidates.size()));
   }
-  record_ends.push_back(static_cast<uint32_t>(candidates.size()));
-}
+};
 
+/// Assembles the CSR verification sets and upper bounds of `brackets` from
+/// IA-certified lower bounds (already in `brackets->min_inf`) and the
+/// remnant lists of consecutive record morsels in ascending order.
 void FinishBrackets(CandidateBrackets* brackets,
                     std::span<const RemnantLists> chunks) {
   const size_t m = brackets->num_candidates();
   // Size-then-fill: count remnant pairs per candidate, then transpose the
   // record-major lists into the CSR slots. Records are visited in
-  // ascending order, so every set comes out sorted by record.
+  // ascending order, so every set comes out sorted by record, however the
+  // store was cut into morsels.
   brackets->vs_offsets.assign(m + 1, 0);
   size_t total = 0;
   for (const RemnantLists& chunk : chunks) {
@@ -107,6 +82,64 @@ void FinishBrackets(CandidateBrackets* brackets,
         brackets->min_inf[j] +
         (brackets->vs_offsets[j + 1] - brackets->vs_offsets[j]);
   }
+}
+
+}  // namespace
+
+CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
+                                         const InfluenceKernel& kernel,
+                                         bool use_pruning, SolverStats* stats,
+                                         size_t num_threads) {
+  const ObjectStore& store = prepared.store();
+  const RTree& rtree = prepared.candidate_rtree();
+  const size_t m = prepared.num_candidates();
+  const auto r = static_cast<int64_t>(store.size());
+
+  CandidateBrackets brackets;
+  brackets.pruned = use_pruning;
+  brackets.max_inf.assign(m, r);
+  if (!use_pruning) {
+    // PINOCCHIO-VO*: no pruning phase; every object must be verified.
+    brackets.min_inf.assign(m, 0);
+    brackets.all_records.resize(static_cast<size_t>(r));
+    std::iota(brackets.all_records.begin(), brackets.all_records.end(), 0u);
+    return brackets;
+  }
+
+  // minInf is summed from per-worker counts; each morsel's remnant pairs go
+  // to its own record-major list. The lists are scratch of the calling
+  // thread, kept across solves: a fresh multi-megabyte buffer per solve
+  // costs a page fault per 4 KiB on every solve (~1.5 ms of a 3 ms prune
+  // on the approximate frontier's n2400 instance), one regrown only on the
+  // first.
+  const MorselScheduler scheduler(num_threads);
+  const std::vector<Morsel> morsels = PlanMorsels(store, scheduler);
+  thread_local std::vector<RemnantLists> scratch;
+  if (scratch.size() < morsels.size()) scratch.resize(morsels.size());
+  const std::span<RemnantLists> remnants(scratch.data(), morsels.size());
+  brackets.min_inf = RunPruneMorsels(
+      scheduler, morsels, m, stats,
+      [&](PruneAccumulator& acc, size_t index, const Morsel& morsel) {
+        RemnantLists& lists = remnants[index];
+        lists.first_record = morsel.first_record;
+        lists.candidates.clear();
+        lists.record_ends.clear();
+        ClassifyCandidates(
+            rtree, store, kernel, morsel.first_record, morsel.last_record, m,
+            &acc.stats,
+            [&](uint32_t, std::span<const RTreeEntry> entries,
+                std::span<const PruneLaneClass> classes) {
+              lists.AddRecord(entries, classes, acc.influence);
+            });
+      });
+  FinishBrackets(&brackets, remnants);
+
+  size_t retained = 0;
+  for (const RemnantLists& lists : scratch) {
+    retained += lists.candidates.capacity();
+  }
+  if (retained > kMaxRetainedRemnants) scratch.clear();
+  return brackets;
 }
 
 std::vector<uint32_t> BoundDominationOrder(const CandidateBrackets& brackets) {
@@ -226,14 +259,21 @@ class SkylinePolicy {
 
 }  // namespace
 
-void SolveSkylineOnBrackets(const PreparedInstance& prepared,
-                            const InfluenceKernel& kernel,
-                            std::span<const double> cost,
-                            CandidateBrackets* brackets,
-                            SkylineResult* result) {
-  const size_t m = brackets->num_candidates();
+SkylineResult SolveSkyline(const PreparedInstance& prepared,
+                           std::span<const double> cost, size_t num_threads) {
+  const size_t m = prepared.num_candidates();
   PINO_CHECK_EQ(cost.size(), m);
   for (double c : cost) PINO_CHECK(std::isfinite(c)) << "skyline cost " << c;
+  Stopwatch watch;
+  SkylineResult result;
+  if (m == 0) {
+    internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
+    return result;
+  }
+  const InfluenceKernel kernel = prepared.kernel();
+  CandidateBrackets brackets =
+      BuildCandidateBrackets(prepared, kernel, /*use_pruning=*/true,
+                             &result.stats, num_threads);
 
   // Cost ascending, then the engine's canonical bound order: cheapest
   // candidates settle first so their exact influences dominate everything
@@ -242,38 +282,26 @@ void SolveSkylineOnBrackets(const PreparedInstance& prepared,
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     if (cost[a] != cost[b]) return cost[a] < cost[b];
-    return OrderBefore(brackets->min_inf, brackets->max_inf, a, b);
+    return OrderBefore(brackets.min_inf, brackets.max_inf, a, b);
   });
 
-  SkylinePolicy policy(cost, brackets, result);
+  SkylinePolicy policy(cost, &brackets, &result);
   const auto verification_set = [&](uint32_t j) -> std::span<const uint32_t> {
-    return brackets->VerificationSet(j);
+    return brackets.VerificationSet(j);
   };
   EvaluateBoundOrdered(prepared, kernel, order, verification_set,
-                       &result->stats, policy);
+                       &result.stats, policy);
   policy.Finish();
-}
-
-SkylineResult SolveSkyline(const PreparedInstance& prepared,
-                           std::span<const double> cost) {
-  PINO_CHECK_EQ(cost.size(), prepared.num_candidates());
-  Stopwatch watch;
-  SkylineResult result;
-  if (prepared.num_candidates() == 0) {
-    internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
-    return result;
-  }
-  const InfluenceKernel kernel = prepared.kernel();
-  CandidateBrackets brackets =
-      BuildCandidateBrackets(prepared, kernel, /*use_pruning=*/true,
-                             &result.stats);
-  SolveSkylineOnBrackets(prepared, kernel, cost, &brackets, &result);
   internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
   return result;
 }
 
 // ------------------------------------------------------------ diversified
 
+namespace {
+
+/// Appends (candidate, record) influence pairs for records
+/// [first_record, last_record) in record-major order.
 void CollectInfluencePairs(const PreparedInstance& prepared,
                            const InfluenceKernel& kernel,
                            uint32_t first_record, uint32_t last_record,
@@ -305,44 +333,56 @@ void CollectInfluencePairs(const PreparedInstance& prepared,
   }
 }
 
-InfluenceSets InfluenceSetsFromPairs(
-    size_t num_candidates,
-    std::span<const std::vector<std::pair<uint32_t, uint32_t>>> pair_chunks) {
+}  // namespace
+
+InfluenceSets BuildInfluenceSets(const PreparedInstance& prepared,
+                                 const InfluenceKernel& kernel,
+                                 size_t num_threads) {
+  const MorselScheduler scheduler(num_threads);
+  const std::vector<Morsel> morsels =
+      PlanMorsels(prepared.store(), scheduler);
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> morsel_pairs(
+      morsels.size());
+  scheduler.Run(morsels, [&](size_t, size_t index, const Morsel& morsel) {
+    CollectInfluencePairs(prepared, kernel, morsel.first_record,
+                          morsel.last_record, &morsel_pairs[index]);
+  });
+
+  // Counting sort into the CSR layout. Morsels are in ascending record
+  // order, so every candidate's records ascend.
+  const size_t m = prepared.num_candidates();
   InfluenceSets sets;
-  sets.offsets.assign(num_candidates + 1, 0);
+  sets.offsets.assign(m + 1, 0);
   size_t total = 0;
-  for (const auto& chunk : pair_chunks) {
-    total += chunk.size();
-    for (const auto& [cand, rec] : chunk) ++sets.offsets[cand + 1];
+  for (const auto& pairs : morsel_pairs) {
+    total += pairs.size();
+    for (const auto& [cand, rec] : pairs) ++sets.offsets[cand + 1];
   }
-  for (size_t j = 0; j < num_candidates; ++j) {
-    sets.offsets[j + 1] += sets.offsets[j];
-  }
+  for (size_t j = 0; j < m; ++j) sets.offsets[j + 1] += sets.offsets[j];
   sets.objects.resize(total);
   std::vector<uint32_t> cursor(sets.offsets.begin(), sets.offsets.end() - 1);
-  for (const auto& chunk : pair_chunks) {
-    for (const auto& [cand, rec] : chunk) {
-      sets.objects[cursor[cand]++] = rec;
-    }
+  for (const auto& pairs : morsel_pairs) {
+    for (const auto& [cand, rec] : pairs) sets.objects[cursor[cand]++] = rec;
   }
   return sets;
 }
 
-InfluenceSets BuildInfluenceSets(const PreparedInstance& prepared,
-                                 const InfluenceKernel& kernel) {
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  CollectInfluencePairs(
-      prepared, kernel, 0,
-      static_cast<uint32_t>(prepared.store().records().size()), &pairs);
-  return InfluenceSetsFromPairs(prepared.num_candidates(),
-                                std::span(&pairs, 1));
-}
-
-void SelectDiversifiedOnSets(const PreparedInstance& prepared, size_t k,
-                             double min_separation, const InfluenceSets& sets,
-                             DiversifiedResult* result) {
+DiversifiedResult SelectDiversified(const PreparedInstance& prepared, size_t k,
+                                    double min_separation,
+                                    size_t num_threads) {
+  PINO_CHECK_GT(k, 0u);
+  PINO_CHECK_GE(min_separation, 0.0);
+  Stopwatch watch;
+  DiversifiedResult result;
   const size_t m = prepared.num_candidates();
   const size_t r = prepared.num_objects();
+  if (m == 0) {
+    result.solve_seconds = watch.ElapsedSeconds();
+    result.elapsed_seconds = result.prepare_seconds + result.solve_seconds;
+    return result;
+  }
+  const InfluenceSets sets =
+      BuildInfluenceSets(prepared, prepared.kernel(), num_threads);
 
   // CELF lazy greedy: a max-heap of (cached gain, candidate, round the
   // gain was computed in). A popped entry with a stale round is recomputed
@@ -367,7 +407,7 @@ void SelectDiversifiedOnSets(const PreparedInstance& prepared, size_t k,
     heap.push({static_cast<int64_t>(sets.Objects(static_cast<uint32_t>(j))
                                         .size()),
                static_cast<uint32_t>(j), 0});
-    ++result->gain_evaluations;
+    ++result.gain_evaluations;
   }
 
   const auto recompute_gain = [&](uint32_t j) {
@@ -375,7 +415,7 @@ void SelectDiversifiedOnSets(const PreparedInstance& prepared, size_t k,
     for (uint32_t obj : sets.Objects(j)) {
       if (!covered[obj]) ++gain;
     }
-    ++result->gain_evaluations;
+    ++result.gain_evaluations;
     return gain;
   };
 
@@ -385,7 +425,7 @@ void SelectDiversifiedOnSets(const PreparedInstance& prepared, size_t k,
   const auto feasible = [&](uint32_t j) {
     if (min_separation <= 0.0) return true;
     const Point& c = prepared.candidate(j);
-    for (uint32_t s : result->selected) {
+    for (uint32_t s : result.selected) {
       if (Distance(prepared.candidate(s), c) < min_separation) return false;
     }
     return true;
@@ -394,12 +434,12 @@ void SelectDiversifiedOnSets(const PreparedInstance& prepared, size_t k,
   std::vector<char> selected(m, 0);
   const size_t target = std::min(k, m);
   for (size_t round = 1;
-       result->selected.size() < target && !heap.empty();) {
+       result.selected.size() < target && !heap.empty();) {
     HeapEntry top = heap.top();
     heap.pop();
     if (selected[top.candidate]) continue;
     if (!feasible(top.candidate)) {
-      ++result->separation_rejections;
+      ++result.separation_rejections;
       continue;
     }
     if (top.round != round) {
@@ -412,32 +452,17 @@ void SelectDiversifiedOnSets(const PreparedInstance& prepared, size_t k,
     }
     // Fresh feasible maximum: select it.
     selected[top.candidate] = 1;
-    result->selected.push_back(top.candidate);
+    result.selected.push_back(top.candidate);
     for (uint32_t obj : sets.Objects(top.candidate)) {
       if (!covered[obj]) {
         covered[obj] = 1;
         ++covered_count;
       }
     }
-    result->coverage.push_back(covered_count);
+    result.coverage.push_back(covered_count);
     ++round;
   }
-}
 
-DiversifiedResult SelectDiversified(const PreparedInstance& prepared, size_t k,
-                                    double min_separation) {
-  PINO_CHECK_GT(k, 0u);
-  PINO_CHECK_GE(min_separation, 0.0);
-  Stopwatch watch;
-  DiversifiedResult result;
-  if (prepared.num_candidates() == 0) {
-    result.solve_seconds = watch.ElapsedSeconds();
-    result.elapsed_seconds = result.prepare_seconds + result.solve_seconds;
-    return result;
-  }
-  const InfluenceKernel kernel = prepared.kernel();
-  const InfluenceSets sets = BuildInfluenceSets(prepared, kernel);
-  SelectDiversifiedOnSets(prepared, k, min_separation, sets, &result);
   result.solve_seconds = watch.ElapsedSeconds();
   result.elapsed_seconds = result.prepare_seconds + result.solve_seconds;
   return result;

@@ -72,8 +72,7 @@ class CutoffTracker {
 /// Strict total order of the validation queue: maxInf descending, minInf
 /// descending, candidate index ascending. The index tie-break makes this
 /// exactly the order a stable sort by (maxInf, minInf) produces over an
-/// ascending-index input — the invariant the per-shard heapsort +
-/// tournament merge of the parallel solver relies on to replay it.
+/// ascending-index input.
 inline bool OrderBefore(std::span<const int64_t> min_inf,
                         std::span<const int64_t> max_inf, uint32_t a,
                         uint32_t b) {
@@ -115,36 +114,15 @@ struct CandidateBrackets {
 
 /// Runs the IA/NIB prune phase and assembles the brackets. IA/NIB counters
 /// go to `stats` (may be null). `use_pruning == false` skips the phase
-/// entirely (the VO* ablation).
+/// entirely (the VO* ablation). The phase runs on the morsel engine at
+/// `num_threads` (0 = hardware concurrency; 1 = one morsel spanning the
+/// store, on the calling thread); each candidate's set comes out in
+/// ascending record order, so the brackets are byte-identical at every
+/// budget.
 CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
                                          const InfluenceKernel& kernel,
-                                         bool use_pruning, SolverStats* stats);
-
-/// The remnant pairs of a contiguous record range, record-major: record
-/// first_record + i owns candidates[record_ends[i - 1], record_ends[i])
-/// (from 0 for i = 0), in prune visit order. Four bytes per pair, and the
-/// transposition into per-candidate sets reads it once.
-struct RemnantLists {
-  uint32_t first_record = 0;
-  std::vector<uint32_t> candidates;
-  std::vector<uint32_t> record_ends;
-
-  /// Appends one classified record (the next of the range): raises
-  /// `min_inf` for its IA-certified candidates and lists its remnant ones.
-  void AddRecord(std::span<const RTreeEntry> entries,
-                 std::span<const PruneLaneClass> classes,
-                 std::span<int64_t> min_inf);
-};
-
-/// Assembles the CSR verification sets and upper bounds of `brackets` from
-/// IA-certified lower bounds (already summed into `brackets->min_inf`,
-/// with max_inf preset to the record count) and the remnant lists of
-/// consecutive record ranges in ascending order. Each candidate's set comes
-/// out in ascending record order, so the sequential builder (one range) and
-/// the morsel-parallel builder (one range per morsel) produce
-/// byte-identical layouts.
-void FinishBrackets(CandidateBrackets* brackets,
-                    std::span<const RemnantLists> chunks);
+                                         bool use_pruning, SolverStats* stats,
+                                         size_t num_threads = 1);
 
 /// Candidate indices sorted under OrderBefore — the engine's canonical
 /// decreasing-upper-bound evaluation order.
@@ -181,9 +159,8 @@ enum class CandidateAdmission : uint8_t {
 /// alive for the candidate's walk.
 ///
 /// The loop is inherently sequential — what the policy learns from
-/// candidate i gates the work spent on candidate i+1 — which is why the
-/// parallel solvers reuse it verbatim after their parallel prune and order
-/// phases.
+/// candidate i gates the work spent on candidate i+1 — so it runs on the
+/// calling thread at every thread budget, after the morsel-engine prune.
 template <typename Policy>
 void EvaluateBoundOrdered(
     const PreparedInstance& prepared, const InfluenceKernel& kernel,
@@ -287,19 +264,12 @@ struct SkylineResult {
 /// bound order) so every already-settled candidate is at most as expensive
 /// as the current one — its exact influence dominates the current bracket
 /// whenever it reaches the upper bound, letting the engine discard
-/// dominated candidates before (or mid-) validation.
+/// dominated candidates before (or mid-) validation. The prune phase runs
+/// at `num_threads` (BuildCandidateBrackets); results are bit-identical at
+/// every budget.
 SkylineResult SolveSkyline(const PreparedInstance& prepared,
-                           std::span<const double> cost);
-
-/// The evaluation phase of SolveSkyline against brackets built elsewhere
-/// (the parallel path builds them with the morsel engine and reuses this
-/// verbatim — results are bit-identical by construction). Consumes the
-/// brackets; fills `result->members` / `bound_skipped` and the validation
-/// counters of `result->stats`. Timing is the caller's job.
-void SolveSkylineOnBrackets(const PreparedInstance& prepared,
-                            const InfluenceKernel& kernel,
-                            std::span<const double> cost,
-                            CandidateBrackets* brackets, SkylineResult* result);
+                           std::span<const double> cost,
+                           size_t num_threads = 1);
 
 // ------------------------------------------------------------ diversified
 
@@ -320,25 +290,11 @@ struct InfluenceSets {
   }
 };
 
-/// Appends (candidate, record) influence pairs for records
-/// [first_record, last_record) in deterministic record-major order — the
-/// building block of both the sequential and the morsel-parallel
-/// influence-set builders.
-void CollectInfluencePairs(const PreparedInstance& prepared,
-                           const InfluenceKernel& kernel,
-                           uint32_t first_record, uint32_t last_record,
-                           std::vector<std::pair<uint32_t, uint32_t>>* pairs);
-
-/// Counting-sorts pair chunks (concatenated in chunk order) into the CSR
-/// layout. Chunk order defines per-candidate record order, mirroring
-/// FinishBrackets.
-InfluenceSets InfluenceSetsFromPairs(
-    size_t num_candidates,
-    std::span<const std::vector<std::pair<uint32_t, uint32_t>>> pair_chunks);
-
-/// Influence sets for the whole store (the sequential builder).
+/// Influence sets for the whole store, collected over record morsels at
+/// `num_threads` (as BuildCandidateBrackets); identical at every budget.
 InfluenceSets BuildInfluenceSets(const PreparedInstance& prepared,
-                                 const InfluenceKernel& kernel);
+                                 const InfluenceKernel& kernel,
+                                 size_t num_threads = 1);
 
 /// Result of diversified greedy selection.
 struct DiversifiedResult {
@@ -366,16 +322,12 @@ struct DiversifiedResult {
 /// brute-force greedy reference. `min_separation == 0` degenerates to the
 /// classic multi-facility objective. May return fewer than k facilities
 /// when the separation constraint (or the candidate count) leaves nothing
-/// selectable.
+/// selectable. The influence sets are built at `num_threads`
+/// (BuildInfluenceSets); the greedy phase is sequential, so results are
+/// bit-identical at every budget.
 DiversifiedResult SelectDiversified(const PreparedInstance& prepared, size_t k,
-                                    double min_separation);
-
-/// The greedy phase of SelectDiversified against influence sets built
-/// elsewhere (shared with the morsel-parallel builder; bit-identical by
-/// construction). Timing is the caller's job.
-void SelectDiversifiedOnSets(const PreparedInstance& prepared, size_t k,
-                             double min_separation, const InfluenceSets& sets,
-                             DiversifiedResult* result);
+                                    double min_separation,
+                                    size_t num_threads = 1);
 
 }  // namespace query
 }  // namespace pinocchio

@@ -25,6 +25,17 @@ SolverResult Solver::Solve(const ProblemInstance& instance,
   return result;
 }
 
+void SolverStats::AddCounters(const SolverStats& other) {
+  pairs_pruned_by_ia += other.pairs_pruned_by_ia;
+  pairs_pruned_by_nib += other.pairs_pruned_by_nib;
+  pairs_validated += other.pairs_validated;
+  pairs_refined += other.pairs_refined;
+  positions_scanned += other.positions_scanned;
+  early_stops += other.early_stops;
+  heap_pops += other.heap_pops;
+  strategy1_cutoffs += other.strategy1_cutoffs;
+}
+
 namespace internal {
 
 void FinalizeResultFromInfluence(SolverResult* result) {
@@ -44,6 +55,11 @@ void FinalizeResultFromInfluence(SolverResult* result) {
 void FinishSolveTiming(SolverStats* stats, double solve_seconds) {
   stats->solve_seconds = solve_seconds;
   stats->elapsed_seconds = stats->prepare_seconds + solve_seconds;
+}
+
+std::string BudgetedName(const std::string& name, size_t num_threads) {
+  if (num_threads == 1) return name;
+  return name + "-P" + std::to_string(num_threads);
 }
 
 }  // namespace internal

@@ -64,6 +64,11 @@ struct SolverStats {
 
   /// Total object-candidate pairs resolved by either pruning rule.
   int64_t PairsPruned() const { return pairs_pruned_by_ia + pairs_pruned_by_nib; }
+
+  /// Adds `other`'s work counters (not its timings) to this one's — how
+  /// morsel-engine workers' counters merge: integer sums, so the totals
+  /// are the same at any thread budget.
+  void AddCounters(const SolverStats& other);
 };
 
 /// Outcome of a Solve() call.
@@ -130,6 +135,10 @@ void FinalizeResultFromInfluence(SolverResult* result);
 /// Stamps the query-phase wall clock and keeps `elapsed_seconds` equal to
 /// prepare + solve.
 void FinishSolveTiming(SolverStats* stats, double solve_seconds);
+
+/// A solver's report name at a resolved thread budget: the paper name at
+/// one thread, "<name>-P<threads>" above that.
+std::string BudgetedName(const std::string& name, size_t num_threads);
 
 }  // namespace internal
 }  // namespace pinocchio

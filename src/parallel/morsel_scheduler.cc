@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 
-#include "core/object_store.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -112,24 +112,16 @@ std::vector<Morsel> PlanMorsels(std::span<const uint32_t> position_counts,
   return morsels;
 }
 
-std::vector<Morsel> PlanMorsels(const ObjectStore& store,
-                                const MorselPlanOptions& options) {
-  std::vector<uint32_t> counts;
-  counts.reserve(store.size());
-  for (const ObjectRecord& rec : store.records()) {
-    counts.push_back(rec.position_count);
-  }
-  return PlanMorsels(counts, options);
-}
-
 std::vector<Morsel> PlanUniformMorsels(size_t count, size_t target_items,
                                        size_t min_morsels) {
   std::vector<Morsel> morsels;
   if (count == 0) return morsels;
   size_t target = std::max<size_t>(1, target_items);
   if (min_morsels > 1) {
-    target = std::max<size_t>(
-        1, std::min(target, (count + min_morsels - 1) / min_morsels));
+    // ceil(count / min_morsels), without overflow at huge min_morsels.
+    const size_t width =
+        count / min_morsels + (count % min_morsels != 0 ? 1 : 0);
+    target = std::max<size_t>(1, std::min(target, width));
   }
   for (size_t begin = 0; begin < count; begin += target) {
     morsels.push_back({static_cast<uint32_t>(begin),
@@ -143,6 +135,29 @@ MorselScheduler::MorselScheduler(size_t num_threads)
                        ? std::max(1u, std::thread::hardware_concurrency())
                        : num_threads) {}
 
+size_t MorselScheduler::MinMorsels() const {
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  return num_threads_ > kMax / kMorselsPerWorker
+             ? kMax
+             : num_threads_ * kMorselsPerWorker;
+}
+
+MorselPlanOptions MorselScheduler::RecordPlan() const {
+  MorselPlanOptions plan;
+  if (num_threads_ == 1) {
+    plan.target_positions = std::numeric_limits<uint64_t>::max();
+  } else {
+    plan.min_morsels = MinMorsels();
+  }
+  return plan;
+}
+
+std::vector<Morsel> MorselScheduler::PlanUniform(size_t count,
+                                                 size_t target_items) const {
+  if (num_threads_ == 1) return PlanUniformMorsels(count, count);
+  return PlanUniformMorsels(count, target_items, MinMorsels());
+}
+
 MorselRunStats MorselScheduler::Run(
     std::span<const Morsel> morsels,
     const std::function<void(size_t, size_t, const Morsel&)>& body) const {
@@ -150,7 +165,7 @@ MorselRunStats MorselScheduler::Run(
   stats.num_morsels = morsels.size();
   if (morsels.empty()) return stats;
 
-  const size_t workers = std::min(num_threads_, morsels.size());
+  const size_t workers = NumWorkers(morsels.size());
   stats.num_workers = workers;
   if (workers == 1) {
     Stopwatch watch;

@@ -1,12 +1,15 @@
 // Morsel-driven work-stealing execution over record ranges.
 //
-// The parallel solvers used to split the object store into num_threads
-// contiguous slices; one slice with a few position-rich objects then
-// dominated the wall clock while every other worker idled. This scheduler
-// replaces the slices with *morsels*: small [first_record, last_record)
-// ranges sized by position count (validation cost is linear in positions,
-// not records), dealt to per-worker deques and work-stolen when a worker
-// drains its own share.
+// Every solver takes a thread budget and runs its data-parallel phases
+// (prune, NA's candidate scan, influence-set collection) through this
+// scheduler. Splitting the object store into num_threads contiguous slices
+// lets one slice with a few position-rich objects dominate the wall clock
+// while every other worker idles, so the work is cut into *morsels*:
+// small [first_record, last_record) ranges sized by position count
+// (validation cost is linear in positions, not records), dealt to
+// per-worker deques and work-stolen when a worker drains its own share.
+// At a budget of one the plan is a single morsel spanning the input, run
+// inline on the calling thread: the sequential pass, with no split.
 //
 // Determinism contract: the scheduler promises only that every morsel runs
 // exactly once, on some worker. Callers that need results bit-identical to
@@ -34,8 +37,6 @@
 #include <vector>
 
 namespace pinocchio {
-
-class ObjectStore;
 
 /// One unit of schedulable work: records [first_record, last_record).
 struct Morsel {
@@ -65,10 +66,6 @@ struct MorselPlanOptions {
 std::vector<Morsel> PlanMorsels(std::span<const uint32_t> position_counts,
                                 const MorselPlanOptions& options = {});
 
-/// PlanMorsels over the store's per-record position counts.
-std::vector<Morsel> PlanMorsels(const ObjectStore& store,
-                                const MorselPlanOptions& options = {});
-
 /// Equal-width morsels over `count` items of uniform cost (the NA solver's
 /// candidate ranges): ceil(count / target_items) morsels, at least
 /// min_morsels when count allows.
@@ -92,6 +89,12 @@ struct MorselRunStats {
 /// uptime x solve_threads to expose solve-thread utilisation.
 double MorselEngineBusySeconds();
 
+/// Largest thread budget a command-line flag may ask for. The library
+/// takes any budget (a Run never starts more workers than it has morsels),
+/// but a budget from outside is checked against this instead of being cast
+/// from whatever integer was typed.
+inline constexpr int64_t kMaxThreadBudget = 1024;
+
 /// Executes a morsel list with work stealing. Stateless between runs; a
 /// Run() spawns its workers, joins them and returns. Safe to use from
 /// multiple threads concurrently (each Run() is independent).
@@ -102,17 +105,40 @@ class MorselScheduler {
 
   size_t num_threads() const { return num_threads_; }
 
+  /// Workers a Run() over `num_morsels` morsels starts: never more than
+  /// there are morsels. Per-worker state is sized by this, not by the
+  /// budget, so an oversized budget costs nothing on a small input.
+  size_t NumWorkers(size_t num_morsels) const {
+    return num_threads_ < num_morsels ? num_threads_ : num_morsels;
+  }
+
+  /// Record-morsel plan options for this budget: a single morsel spanning
+  /// every record at a budget of one, else at least kMorselsPerWorker
+  /// morsels per thread so drained workers find work to steal.
+  MorselPlanOptions RecordPlan() const;
+
+  /// Uniform-cost ranges over `count` items (NA's candidates): one range at
+  /// a budget of one, else `target_items`-wide ranges, kMorselsPerWorker
+  /// per thread at least.
+  std::vector<Morsel> PlanUniform(size_t count, size_t target_items) const;
+
   /// body(worker, morsel_index, morsel) runs exactly once per morsel; the
-  /// worker index is stable within the run and < num_workers, so bodies can
-  /// index per-worker accumulators without synchronisation. With one worker
-  /// (or one morsel) the body runs inline on the calling thread. The first
-  /// exception thrown by any body aborts outstanding morsels and is
-  /// rethrown here after all workers joined.
+  /// worker index is stable within the run and < NumWorkers(morsels.size()),
+  /// so bodies can index per-worker accumulators without synchronisation.
+  /// With one worker (or one morsel) the body runs inline on the calling
+  /// thread. The first exception thrown by any body aborts outstanding
+  /// morsels and is rethrown here after all workers joined.
   MorselRunStats Run(
       std::span<const Morsel> morsels,
       const std::function<void(size_t, size_t, const Morsel&)>& body) const;
 
  private:
+  /// Morsels dealt per worker; >1 so drained workers find work to steal.
+  static constexpr size_t kMorselsPerWorker = 4;
+
+  /// num_threads_ * kMorselsPerWorker, saturating.
+  size_t MinMorsels() const;
+
   size_t num_threads_;
 };
 

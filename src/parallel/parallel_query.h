@@ -1,25 +1,13 @@
-// Morsel-parallel builders for the query engine's shared substrates, plus
-// parallel entry points for the skyline and diversified query families.
-//
-// The contract mirrors ParallelPinocchioVOSolver's: the parallel phases
-// reproduce the sequential builders' outputs byte for byte —
-//
-//   * brackets: minInf merges per-worker additive accumulators; remnant
-//     pairs are collected per morsel and concatenated in morsel order, so
-//     the CSR equals the sequential (record-major) layout exactly;
-//   * order: per-shard heapsorts under query::OrderBefore merged by a
-//     winner tree — a strict total order, so the merge equals a global
-//     sort;
-//   * influence sets: same per-morsel pair collection, record-major.
-//
-// The evaluation phases that follow (top-k validation, skyline sweep, CELF
-// greedy) are inherently sequential and shared with the sequential path,
-// so SolveSkylineParallel / SelectDiversifiedParallel return bit-identical
-// results to their sequential counterparts at any thread count.
+// Spellings of the query-engine entry points under their former
+// "*Parallel" names, kept for the serving benchmark's driver
+// (perfbench/driver.cc), which is frozen so its numbers stay comparable
+// across changes. Each forwards onto the single implementation, which
+// takes the thread budget as a parameter; nothing else calls these.
 
 #ifndef PINOCCHIO_PARALLEL_PARALLEL_QUERY_H_
 #define PINOCCHIO_PARALLEL_PARALLEL_QUERY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,44 +19,35 @@
 namespace pinocchio {
 namespace query {
 
-/// Morsel-parallel BuildCandidateBrackets (pruning always on — the VO*
-/// ablation has no prune phase to parallelise). IA/NIB counters of all
-/// workers are summed into `stats`.
-CandidateBrackets BuildCandidateBracketsParallel(
+inline CandidateBrackets BuildCandidateBracketsParallel(
     const PreparedInstance& prepared, const InfluenceKernel& kernel,
-    const MorselScheduler& scheduler, SolverStats* stats);
+    const MorselScheduler& scheduler, SolverStats* stats) {
+  return BuildCandidateBrackets(prepared, kernel, true, stats,
+                                scheduler.num_threads());
+}
 
-/// Morsel-parallel BoundDominationOrder: per-shard heapsort + tournament
-/// merge, equal to the sequential sort under OrderBefore.
-std::vector<uint32_t> BoundDominationOrderParallel(
-    const CandidateBrackets& brackets, const MorselScheduler& scheduler);
+inline std::vector<uint32_t> BoundDominationOrderParallel(
+    const CandidateBrackets& brackets, const MorselScheduler& /*scheduler*/) {
+  return BoundDominationOrder(brackets);
+}
 
-/// Morsel-parallel BuildInfluenceSets.
-InfluenceSets BuildInfluenceSetsParallel(const PreparedInstance& prepared,
-                                         const InfluenceKernel& kernel,
-                                         const MorselScheduler& scheduler);
+inline SkylineResult SolveSkylineParallel(const PreparedInstance& prepared,
+                                          std::span<const double> cost,
+                                          size_t num_threads) {
+  return SolveSkyline(prepared, cost, num_threads);
+}
 
-/// SolveSkyline with the prune phase on the morsel engine; `num_threads`
-/// as in the parallel solvers (0 = one per hardware thread). Bit-identical
-/// to the sequential SolveSkyline.
-SkylineResult SolveSkylineParallel(const PreparedInstance& prepared,
-                                   std::span<const double> cost,
-                                   size_t num_threads);
+inline DiversifiedResult SelectDiversifiedParallel(
+    const PreparedInstance& prepared, size_t k, double min_separation,
+    size_t num_threads) {
+  return SelectDiversified(prepared, k, min_separation, num_threads);
+}
 
-/// SelectDiversified with the influence-set build on the morsel engine.
-/// Bit-identical to the sequential SelectDiversified.
-DiversifiedResult SelectDiversifiedParallel(const PreparedInstance& prepared,
-                                            size_t k, double min_separation,
-                                            size_t num_threads);
-
-/// SolveApproxTopK with the prune and order phases on the morsel engine.
-/// The sketch-validated evaluation walk is sequential and its verdicts are
-/// pure in (seed, record, candidate), so results — certified brackets
-/// included — are bit-identical to the sequential SolveApproxTopK at any
-/// thread count.
-ApproxTopKResult SolveApproxTopKParallel(const PreparedInstance& prepared,
-                                         size_t k, const SketchParams& params,
-                                         size_t num_threads);
+inline ApproxTopKResult SolveApproxTopKParallel(
+    const PreparedInstance& prepared, size_t k, const SketchParams& params,
+    size_t num_threads) {
+  return SolveApproxTopK(prepared, k, params, num_threads);
+}
 
 }  // namespace query
 }  // namespace pinocchio

@@ -98,6 +98,19 @@ int64_t FlagParser::GetInt(const std::string& name,
   return ParseInt64(*raw, &v) ? v : default_value;
 }
 
+std::optional<int64_t> FlagParser::GetIntInRange(const std::string& name,
+                                                int64_t default_value,
+                                                int64_t lo, int64_t hi,
+                                                std::string* error) const {
+  const auto raw = GetString(name);
+  if (!raw.has_value() && !IsValueless(name)) return default_value;
+  int64_t v = 0;
+  if (raw.has_value() && ParseInt64(*raw, &v) && v >= lo && v <= hi) return v;
+  *error = "--" + name + " must be an integer in [" + std::to_string(lo) +
+           ", " + std::to_string(hi) + "]";
+  return std::nullopt;
+}
+
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {
   if (!Has(name)) return default_value;
   const auto vl = valueless_.find(name);

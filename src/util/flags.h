@@ -52,6 +52,13 @@ class FlagParser {
   double GetDouble(const std::string& name, double default_value) const;
   int64_t GetInt(const std::string& name, int64_t default_value) const;
 
+  /// GetInt restricted to [lo, hi]: an absent flag yields the default; a
+  /// malformed or out-of-range value yields nullopt and a message in
+  /// `*error`, so callers reject it instead of casting it into range.
+  std::optional<int64_t> GetIntInRange(const std::string& name,
+                                       int64_t default_value, int64_t lo,
+                                       int64_t hi, std::string* error) const;
+
   /// Booleans: bare `--name` and `--name=true/1/yes` are true;
   /// `--name=false/0/no` is false.
   bool GetBool(const std::string& name, bool default_value) const;

@@ -53,7 +53,10 @@ double Rng::Uniform(double lo, double hi) {
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   PINO_CHECK_LE(lo, hi);
-  const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+  // Unsigned (modular) arithmetic: hi - lo overflows int64_t for ranges
+  // wider than 2^63, and the two's-complement result is the same.
+  const uint64_t range =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
   if (range == 0) return static_cast<int64_t>(Next());  // full 64-bit range
   // Rejection sampling to avoid modulo bias. (2^64 - 1) % range < range,
   // so one more than it wraps to 0 exactly when it reaches range — the
@@ -64,7 +67,7 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   do {
     v = Next();
   } while (v > limit);
-  return lo + static_cast<int64_t>(v % range);
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + v % range);
 }
 
 double Rng::Gaussian() {
@@ -132,16 +135,39 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   PINO_CHECK_LE(k, n);
-  // Partial Fisher-Yates over an index vector; O(n) memory, O(n + k) time.
-  std::vector<size_t> indices(n);
-  for (size_t i = 0; i < n; ++i) indices[i] = i;
   std::vector<size_t> result;
   result.reserve(k);
+  if (k == 0) return result;
+  // Partial Fisher-Yates over a virtual identity array [0, n): step i
+  // swaps slots i and j in [i, n) and emits the value that lands in slot
+  // i. Slots below i are never read again, so only the values displaced
+  // into slot j need storing: an open-addressing map from slot to value
+  // with at most k entries, O(k) memory for the draws of the dense form.
+  int shift = 64 - 4;  // table of 16 slots, grown to keep the load <= 1/2
+  while ((uint64_t{1} << (64 - shift)) < 2 * static_cast<uint64_t>(k)) {
+    --shift;
+  }
+  const size_t mask = (size_t{1} << (64 - shift)) - 1;
+  constexpr size_t kEmpty = ~size_t{0};
+  std::vector<std::pair<size_t, size_t>> table(mask + 1, {kEmpty, 0});
+  const auto entry = [&](size_t slot) -> std::pair<size_t, size_t>& {
+    size_t h = static_cast<size_t>(
+        (static_cast<uint64_t>(slot) * 0x9e3779b97f4a7c15ull) >> shift);
+    while (table[h].first != kEmpty && table[h].first != slot) {
+      h = (h + 1) & mask;
+    }
+    return table[h];
+  };
+  const auto value_at = [](const std::pair<size_t, size_t>& e, size_t slot) {
+    return e.first == kEmpty ? slot : e.second;
+  };
   for (size_t i = 0; i < k; ++i) {
-    size_t j = static_cast<size_t>(
+    const auto j = static_cast<size_t>(
         UniformInt(static_cast<int64_t>(i), static_cast<int64_t>(n) - 1));
-    std::swap(indices[i], indices[j]);
-    result.push_back(indices[i]);
+    const size_t value_i = value_at(entry(i), i);
+    std::pair<size_t, size_t>& at_j = entry(j);
+    result.push_back(value_at(at_j, j));
+    at_j = {j, value_i};
   }
   return result;
 }

@@ -73,7 +73,9 @@ class Rng {
     }
   }
 
-  /// Samples `k` distinct indices from [0, n) (k <= n), in random order.
+  /// Samples `k` distinct indices from [0, n) (k <= n), in random order:
+  /// the first k steps of a Fisher-Yates shuffle of [0, n), in O(k) time
+  /// and memory.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
  private:

@@ -1,7 +1,7 @@
 // Solver-level contract of the filtered validation loop: the bound-ordered
 // engine decides each pair through the certified SIMD filter
-// (InfluenceKernel::DecideFiltered), so every family on it — PIN-VO, its
-// morsel-parallel form, the skyline and weighted PIN-VO — must return the
+// (InfluenceKernel::DecideFiltered), so every family on it — PIN-VO at any
+// thread budget, the skyline and weighted PIN-VO — must return the
 // answers and the exact counters of the forced-scalar loop, while the scan
 // counters become chunk-granular: positions_scanned lies between the
 // scalar count and the sum of the validated spans.
@@ -19,8 +19,7 @@
 #include "core/prepared_instance.h"
 #include "core/query_engine.h"
 #include "core/weighted_solver.h"
-#include "parallel/parallel_query.h"
-#include "parallel/parallel_solvers.h"
+#include "core/pinocchio_vo_solver.h"
 #include "prob/alternative_pfs.h"
 #include "prob/influence_kernel.h"
 #include "testing/instance_helpers.h"
@@ -145,7 +144,7 @@ std::vector<Scenario> Scenarios() {
   return scenarios;
 }
 
-TEST(FilteredValidationTest, PinVoAndParallelMatchForcedScalar) {
+TEST(FilteredValidationTest, PinVoAtEveryBudgetMatchesForcedScalar) {
   int64_t validated = 0;
   int64_t refined = 0;
   for (const Scenario& s : Scenarios()) {
@@ -159,12 +158,12 @@ TEST(FilteredValidationTest, PinVoAndParallelMatchForcedScalar) {
       const SolverResult simd = UnderMode(
           false, [&] { return PinocchioVOSolver().Solve(prepared); });
       const SolverResult parallel = UnderMode(false, [&] {
-        return ParallelPinocchioVOSolver(3).Solve(prepared);
+        return PinocchioVOSolver(/*use_pruning=*/true, 3).Solve(prepared);
       });
       EXPECT_EQ(simd.influence, scalar.influence) << what;
       EXPECT_EQ(simd.ranking, scalar.ranking) << what;
       ExpectCounterContract(scalar.stats, simd.stats, spans, what);
-      // The parallel form reuses the sequential loop: every counter equal.
+      // Budget 3 runs the same validation loop: every counter equal.
       EXPECT_EQ(parallel.influence, simd.influence) << what;
       EXPECT_EQ(parallel.ranking, simd.ranking) << what;
       EXPECT_EQ(parallel.stats.positions_scanned, simd.stats.positions_scanned)

@@ -322,7 +322,7 @@ TEST(PrunePipelineTest, RecordRangePartitionsComposeExactly) {
                    &full_stats);
 
   // Disjoint record slices merged with plain addition — the contract the
-  // parallel solver relies on.
+  // morsel engine's per-worker accumulators rely on.
   std::vector<int64_t> merged(m, 0);
   SolverStats merged_stats;
   const uint32_t mid = r / 2;

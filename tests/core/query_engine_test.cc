@@ -11,7 +11,6 @@
 #include "core/pinocchio_vo_solver.h"
 #include "core/prepared_instance.h"
 #include "geo/point.h"
-#include "parallel/parallel_query.h"
 #include "prob/influence_kernel.h"
 #include "testing/instance_helpers.h"
 #include "util/random.h"
@@ -112,22 +111,21 @@ TEST(CandidateBracketsTest, ParallelBuildIsByteIdentical) {
   const PreparedInstance prepared(instance, config);
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
 
-  SolverStats seq_stats;
-  const query::CandidateBrackets seq = query::BuildCandidateBrackets(
-      prepared, kernel, /*use_pruning=*/true, &seq_stats);
+  SolverStats base_stats;
+  const query::CandidateBrackets base = query::BuildCandidateBrackets(
+      prepared, kernel, /*use_pruning=*/true, &base_stats);
   for (size_t threads : {2, 3, 5}) {
-    SolverStats par_stats;
-    const MorselScheduler scheduler(threads);
-    const query::CandidateBrackets par = query::BuildCandidateBracketsParallel(
-        prepared, kernel, scheduler, &par_stats);
-    EXPECT_EQ(par.min_inf, seq.min_inf);
-    EXPECT_EQ(par.max_inf, seq.max_inf);
-    EXPECT_EQ(par.vs_offsets, seq.vs_offsets);
-    EXPECT_EQ(par.vs_data, seq.vs_data);
-    EXPECT_EQ(par_stats.pairs_pruned_by_ia, seq_stats.pairs_pruned_by_ia);
-    EXPECT_EQ(par_stats.pairs_pruned_by_nib, seq_stats.pairs_pruned_by_nib);
-    EXPECT_EQ(query::BoundDominationOrderParallel(par, scheduler),
-              query::BoundDominationOrder(seq));
+    SolverStats stats;
+    const query::CandidateBrackets got = query::BuildCandidateBrackets(
+        prepared, kernel, /*use_pruning=*/true, &stats, threads);
+    EXPECT_EQ(got.min_inf, base.min_inf);
+    EXPECT_EQ(got.max_inf, base.max_inf);
+    EXPECT_EQ(got.vs_offsets, base.vs_offsets);
+    EXPECT_EQ(got.vs_data, base.vs_data);
+    EXPECT_EQ(stats.pairs_pruned_by_ia, base_stats.pairs_pruned_by_ia);
+    EXPECT_EQ(stats.pairs_pruned_by_nib, base_stats.pairs_pruned_by_nib);
+    EXPECT_EQ(query::BoundDominationOrder(got),
+              query::BoundDominationOrder(base));
   }
 }
 
@@ -234,20 +232,20 @@ TEST(SkylineTest, ParallelIsBitIdentical) {
   std::vector<double> cost(instance.candidates.size());
   for (double& c : cost) c = rng.Uniform(0.0, 50.0);
 
-  const query::SkylineResult seq = query::SolveSkyline(prepared, cost);
+  const query::SkylineResult base = query::SolveSkyline(prepared, cost);
   for (size_t threads : {2, 4}) {
-    const query::SkylineResult par =
-        query::SolveSkylineParallel(prepared, cost, threads);
-    ASSERT_EQ(par.members.size(), seq.members.size());
-    for (size_t i = 0; i < seq.members.size(); ++i) {
-      EXPECT_EQ(par.members[i].candidate, seq.members[i].candidate);
-      EXPECT_EQ(par.members[i].influence, seq.members[i].influence);
-      EXPECT_EQ(par.members[i].cost, seq.members[i].cost);
+    const query::SkylineResult got =
+        query::SolveSkyline(prepared, cost, threads);
+    ASSERT_EQ(got.members.size(), base.members.size());
+    for (size_t i = 0; i < base.members.size(); ++i) {
+      EXPECT_EQ(got.members[i].candidate, base.members[i].candidate);
+      EXPECT_EQ(got.members[i].influence, base.members[i].influence);
+      EXPECT_EQ(got.members[i].cost, base.members[i].cost);
     }
-    EXPECT_EQ(par.bound_skipped, seq.bound_skipped);
-    EXPECT_EQ(par.stats.pairs_validated, seq.stats.pairs_validated);
-    EXPECT_EQ(par.stats.heap_pops, seq.stats.heap_pops);
-    EXPECT_EQ(par.stats.strategy1_cutoffs, seq.stats.strategy1_cutoffs);
+    EXPECT_EQ(got.bound_skipped, base.bound_skipped);
+    EXPECT_EQ(got.stats.pairs_validated, base.stats.pairs_validated);
+    EXPECT_EQ(got.stats.heap_pops, base.stats.heap_pops);
+    EXPECT_EQ(got.stats.strategy1_cutoffs, base.stats.strategy1_cutoffs);
   }
 }
 
@@ -315,15 +313,15 @@ TEST(DiversifiedTest, ParallelIsBitIdentical) {
   const PreparedInstance prepared(instance, config);
 
   for (double delta : {0.0, 5000.0, 15000.0}) {
-    const query::DiversifiedResult seq =
+    const query::DiversifiedResult base =
         query::SelectDiversified(prepared, 4, delta);
     for (size_t threads : {2, 4}) {
-      const query::DiversifiedResult par =
-          query::SelectDiversifiedParallel(prepared, 4, delta, threads);
-      EXPECT_EQ(par.selected, seq.selected);
-      EXPECT_EQ(par.coverage, seq.coverage);
-      EXPECT_EQ(par.gain_evaluations, seq.gain_evaluations);
-      EXPECT_EQ(par.separation_rejections, seq.separation_rejections);
+      const query::DiversifiedResult got =
+          query::SelectDiversified(prepared, 4, delta, threads);
+      EXPECT_EQ(got.selected, base.selected);
+      EXPECT_EQ(got.coverage, base.coverage);
+      EXPECT_EQ(got.gain_evaluations, base.gain_evaluations);
+      EXPECT_EQ(got.separation_rejections, base.separation_rejections);
     }
   }
 }

@@ -16,7 +16,7 @@
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
 #include "core/prepared_instance.h"
-#include "parallel/parallel_solvers.h"
+#include "core/naive_solver.h"
 #include "prob/alternative_pfs.h"
 #include "prob/power_law.h"
 #include "testing/instance_helpers.h"
@@ -135,8 +135,8 @@ TEST_P(SolverEquivalenceTest, SharedPreparedInstanceMatchesLegacyPath) {
   const PinocchioVOStarSolver star;
   const PinocchioGridSolver grid;
   const PinocchioHullSolver hull;
-  const ParallelNaiveSolver na_par(2);
-  const ParallelPinocchioSolver pin_par(2);
+  const NaiveSolver na_par(2);
+  const PinocchioSolver pin_par(2);
   const BrnnStarSolver brnn;
   const RangeSolver range(0.5, 2000.0);
 

@@ -166,6 +166,21 @@ TEST(MorselSchedulerTest, SingleThreadRunsInlineInOrder) {
   EXPECT_EQ(visited, expected);
 }
 
+TEST(MorselSchedulerTest, RecordPlanFollowsTheBudget) {
+  // Budget 1: one morsel spanning every record, however many positions.
+  const std::vector<uint32_t> counts(100, 1000);
+  const std::vector<Morsel> single =
+      PlanMorsels(counts, MorselScheduler(1).RecordPlan());
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(single[0].first_record, 0u);
+  EXPECT_EQ(single[0].last_record, 100u);
+  // Above 1: at least four morsels per thread to steal from.
+  EXPECT_EQ(MorselScheduler(3).RecordPlan().min_morsels, 12u);
+  EXPECT_GE(PlanMorsels(counts, MorselScheduler(3).RecordPlan()).size(), 12u);
+  EXPECT_EQ(MorselScheduler(3).NumWorkers(2), 2u);
+  EXPECT_EQ(MorselScheduler(3).NumWorkers(50), 3u);
+}
+
 TEST(MorselSchedulerTest, BusySecondsAccumulate) {
   const double before = MorselEngineBusySeconds();
   const std::vector<Morsel> morsels = PlanUniformMorsels(8, 1);

@@ -321,8 +321,8 @@ TEST(ServiceTest, StatsCountRequestsPerType) {
 
 TEST(ServiceTest, SkylineMatchesDirectSolveOnTheSameSnapshot) {
   const ProblemInstance instance = RandomInstance(23);
-  // solve_threads = 3 also exercises the parallel skyline path, which is
-  // bit-identical to the sequential reference computed below.
+  // solve_threads = 3 runs the prune phase on three threads; the answer is
+  // bit-identical to the budget-1 reference computed below.
   ServiceOptions options = TestOptions();
   options.solve_threads = 3;
   InfluenceService service(instance, DefaultConfig(), options);

@@ -28,8 +28,6 @@
 #include "data/binary_io.h"
 #include "data/checkin_dataset.h"
 #include "geo/point.h"
-#include "parallel/parallel_query.h"
-#include "parallel/parallel_solvers.h"
 #include "prob/alternative_pfs.h"
 #include "prob/influence.h"
 #include "prob/power_law.h"
@@ -229,11 +227,12 @@ class CaseChecker {
     CheckExactSolver(PinocchioSolver(), prepared, naive);
     CheckExactSolver(PinocchioGridSolver(), prepared, naive);
     CheckExactSolver(PinocchioHullSolver(), prepared, naive);
-    CheckExactSolver(ParallelNaiveSolver(), prepared, naive);
-    CheckExactSolver(ParallelPinocchioSolver(), prepared, naive);
+    CheckExactSolver(NaiveSolver(Budget()), prepared, naive);
+    CheckExactSolver(PinocchioSolver(Budget()), prepared, naive);
     CheckVOSolver(PinocchioVOSolver(), prepared, naive);
     CheckVOSolver(PinocchioVOStarSolver(), prepared, naive);
-    CheckMorselVO(prepared, naive);
+    CheckBudgetVO(/*use_pruning=*/true, prepared);
+    CheckBudgetVO(/*use_pruning=*/false, prepared);
     CheckClassicalBaseline(BrnnStarSolver(), prepared);
     if (!fuzz_.instance.objects.empty()) {
       CheckClassicalBaseline(
@@ -252,6 +251,10 @@ class CaseChecker {
   }
 
  private:
+  // The thread budget every family is diffed at against its budget-1 run;
+  // it varies with the seed to sweep different morsel/steal interleavings.
+  size_t Budget() const { return 2 + result_->seed % 3; }
+
   void CheckExactSolver(const Solver& solver, const PreparedInstance& prepared,
                         const SolverResult& naive) {
     Guard(solver.Name(), [&] {
@@ -315,53 +318,52 @@ class CaseChecker {
     });
   }
 
-  // The morsel-parallel PIN-VO engine promises results *bit-identical* to
-  // the sequential PinocchioVOSolver — same influence vector (including
-  // the inexact lower bounds of Strategy-1-eliminated candidates), same
-  // ranking and same stats counters — so it is diffed against the
-  // sequential solver, not just the naive oracle. The thread count varies
-  // with the seed to sweep different morsel/steal interleavings.
-  void CheckMorselVO(const PreparedInstance& prepared,
-                     const SolverResult& naive) {
-    (void)naive;  // the VO-vs-naive contract is checked on the sequential
-                  // solver; bit-identity below transfers it
-    const size_t threads = 2 + result_->seed % 3;
-    const ParallelPinocchioVOSolver parallel(threads);
-    Guard(parallel.Name(), [&] {
-      const SolverResult seq = PinocchioVOSolver().Solve(prepared);
-      const SolverResult par = parallel.Solve(prepared);
-      if (par.influence != seq.influence) {
-        Fail(DescribeVectorDiff(parallel.Name() + " vs PIN-VO", par.influence,
-                                seq.influence));
+  // PIN-VO and VO* promise results *bit-identical* at every thread budget
+  // — same influence vector (including the inexact lower bounds of
+  // Strategy-1-eliminated candidates), same ranking and same stats
+  // counters — so Budget() is diffed against budget 1, not just against
+  // the naive oracle (CheckVOSolver covers that contract at budget 1).
+  void CheckBudgetVO(bool use_pruning, const PreparedInstance& prepared) {
+    const PinocchioVOSolver budgeted(use_pruning, Budget());
+    Guard(budgeted.Name(), [&] {
+      const SolverResult base = PinocchioVOSolver(use_pruning).Solve(prepared);
+      const SolverResult got = budgeted.Solve(prepared);
+      if (got.influence != base.influence) {
+        Fail(DescribeVectorDiff(budgeted.Name() + " vs budget 1",
+                                got.influence, base.influence));
       }
-      if (par.best_candidate != seq.best_candidate ||
-          par.best_influence != seq.best_influence ||
-          par.ranking != seq.ranking) {
+      if (got.best_candidate != base.best_candidate ||
+          got.best_influence != base.best_influence ||
+          got.ranking != base.ranking) {
         std::ostringstream msg;
-        msg << parallel.Name() << ": best/ranking diverges from PIN-VO (best "
-            << par.best_candidate << "/" << par.best_influence << " vs "
-            << seq.best_candidate << "/" << seq.best_influence << ")";
+        msg << budgeted.Name() << ": best/ranking diverges from budget 1 "
+            << "(best " << got.best_candidate << "/" << got.best_influence
+            << " vs " << base.best_candidate << "/" << base.best_influence
+            << ")";
         Fail(msg.str());
       }
-      const auto& a = par.stats;
-      const auto& b = seq.stats;
-      if (a.pairs_pruned_by_ia != b.pairs_pruned_by_ia ||
-          a.pairs_pruned_by_nib != b.pairs_pruned_by_nib ||
-          a.pairs_validated != b.pairs_validated ||
-          a.pairs_refined != b.pairs_refined ||
-          a.positions_scanned != b.positions_scanned ||
-          a.early_stops != b.early_stops || a.heap_pops != b.heap_pops ||
-          a.strategy1_cutoffs != b.strategy1_cutoffs) {
+      if (!SameCounters(got.stats, base.stats)) {
         std::ostringstream msg;
-        msg << parallel.Name()
-            << ": stats counters diverge from PIN-VO (validated "
-            << a.pairs_validated << " vs " << b.pairs_validated
-            << ", scanned " << a.positions_scanned << " vs "
-            << b.positions_scanned << ", pops " << a.heap_pops << " vs "
-            << b.heap_pops << ")";
+        msg << budgeted.Name()
+            << ": stats counters diverge from budget 1 (validated "
+            << got.stats.pairs_validated << " vs "
+            << base.stats.pairs_validated << ", scanned "
+            << got.stats.positions_scanned << " vs "
+            << base.stats.positions_scanned << ", pops "
+            << got.stats.heap_pops << " vs " << base.stats.heap_pops << ")";
         Fail(msg.str());
       }
     });
+  }
+
+  static bool SameCounters(const SolverStats& a, const SolverStats& b) {
+    return a.pairs_pruned_by_ia == b.pairs_pruned_by_ia &&
+           a.pairs_pruned_by_nib == b.pairs_pruned_by_nib &&
+           a.pairs_validated == b.pairs_validated &&
+           a.pairs_refined == b.pairs_refined &&
+           a.positions_scanned == b.positions_scanned &&
+           a.early_stops == b.early_stops && a.heap_pops == b.heap_pops &&
+           a.strategy1_cutoffs == b.strategy1_cutoffs;
   }
 
   // The classical-semantics baselines (nearest-neighbour votes, range
@@ -441,8 +443,8 @@ class CaseChecker {
   // sweep on the naive influence vector, with three cost regimes: distances
   // from a random origin (the serving path), arbitrary uniform costs, and
   // all-equal costs (every candidate in one group, so the result is exactly
-  // the maximum-influence set — the all-dominated edge case). The parallel
-  // entry point is then diffed bit-identically against the sequential one.
+  // the maximum-influence set — the all-dominated edge case). Budget() is
+  // then diffed bit-identically against budget 1.
   void CheckSkyline(const PreparedInstance& prepared,
                     const SolverResult& naive) {
     if (naive.influence.empty()) return;
@@ -498,32 +500,20 @@ class CaseChecker {
         Fail(msg.str());
       }
 
-      const size_t threads = 2 + result_->seed % 3;
       const query::SkylineResult par =
-          query::SolveSkylineParallel(prepared, cost, threads);
+          query::SolveSkyline(prepared, cost, Budget());
       bool par_match = par.members.size() == got.members.size() &&
-                       par.bound_skipped == got.bound_skipped;
+                       par.bound_skipped == got.bound_skipped &&
+                       SameCounters(par.stats, got.stats);
       for (size_t i = 0; par_match && i < got.members.size(); ++i) {
         par_match = par.members[i].candidate == got.members[i].candidate &&
                     par.members[i].influence == got.members[i].influence &&
                     par.members[i].cost == got.members[i].cost;
       }
-      if (par_match) {
-        const auto& a = par.stats;
-        const auto& b = got.stats;
-        par_match = a.pairs_pruned_by_ia == b.pairs_pruned_by_ia &&
-                    a.pairs_pruned_by_nib == b.pairs_pruned_by_nib &&
-                    a.pairs_validated == b.pairs_validated &&
-                    a.pairs_refined == b.pairs_refined &&
-                    a.positions_scanned == b.positions_scanned &&
-                    a.early_stops == b.early_stops &&
-                    a.heap_pops == b.heap_pops &&
-                    a.strategy1_cutoffs == b.strategy1_cutoffs;
-      }
       if (!par_match) {
         std::ostringstream msg;
-        msg << "SkylineParallel(" << threads
-            << "): diverges from sequential skyline";
+        msg << "Skyline(budget " << Budget()
+            << "): diverges from the budget-1 skyline";
         Fail(msg.str());
       }
     });
@@ -539,7 +529,7 @@ class CaseChecker {
   // must degenerate to the exact top-k bit-for-bit, and the delta -> 1
   // regime (a near-vacuous certificate: a 2-record budget) still has to
   // hold the structural invariants. Each regime is additionally diffed
-  // bit-identically against the morsel-parallel entry point.
+  // bit-identically at Budget() against budget 1.
   void CheckApprox(const PreparedInstance& prepared,
                    const SolverResult& naive) {
     if (naive.influence.empty()) return;
@@ -548,8 +538,6 @@ class CaseChecker {
       const size_t m = naive.influence.size();
       const size_t k = 1 + result_->seed % 5;
       const auto r = static_cast<int64_t>(prepared.store().size());
-      const size_t threads = 2 + result_->seed % 3;
-
       const SketchParams regimes[] = {
           {0.4, 1e-6, rng.Next()},   // sampling engaged, >5-sigma bracket
           {1e-9, 0.999, rng.Next()},  // budget >= any set: exact tier
@@ -640,11 +628,12 @@ class CaseChecker {
         }
 
         const ApproxTopKResult par =
-            query::SolveApproxTopKParallel(prepared, k, params, threads);
+            SolveApproxTopK(prepared, k, params, Budget());
         bool same = par.entries.size() == res.entries.size() &&
                     par.sample_budget == res.sample_budget &&
                     par.pairs_skipped == res.pairs_skipped &&
-                    par.pairs_refined == res.pairs_refined;
+                    par.pairs_refined == res.pairs_refined &&
+                    SameCounters(par.stats, res.stats);
         for (size_t i = 0; same && i < res.entries.size(); ++i) {
           same = par.entries[i].candidate == res.entries[i].candidate &&
                  par.entries[i].estimate == res.entries[i].estimate &&
@@ -654,8 +643,8 @@ class CaseChecker {
         }
         if (!same) {
           std::ostringstream msg;
-          msg << tag.str() << ": parallel(" << threads
-              << ") diverges from the sequential tier";
+          msg << tag.str() << ": budget " << Budget()
+              << " diverges from budget 1";
           Fail(msg.str());
         }
       }
@@ -667,7 +656,7 @@ class CaseChecker {
   // sweeping min_separation 0 (plain multi-facility, also diffed against
   // SelectFacilities), a random separation up to the candidate diameter,
   // and one larger than the diameter (only a single pick can ever be
-  // feasible). The parallel entry point is diffed bit-identically.
+  // feasible). Budget() is diffed bit-identically against budget 1.
   void CheckDiversified(const PreparedInstance& prepared,
                         const SolverResult& naive) {
     if (naive.influence.empty()) return;
@@ -770,15 +759,14 @@ class CaseChecker {
         }
       }
 
-      const size_t threads = 2 + result_->seed % 3;
       const query::DiversifiedResult par =
-          query::SelectDiversifiedParallel(prepared, k, delta, threads);
+          query::SelectDiversified(prepared, k, delta, Budget());
       if (par.selected != got.selected || par.coverage != got.coverage ||
           par.gain_evaluations != got.gain_evaluations ||
           par.separation_rejections != got.separation_rejections) {
         std::ostringstream msg;
-        msg << "DiversifiedParallel(" << threads
-            << "): diverges from sequential";
+        msg << "Diversified(budget " << Budget()
+            << "): diverges from budget 1";
         Fail(msg.str());
       }
     });

@@ -136,6 +136,31 @@ TEST(CliTest, SolveRejectsBadInputs) {
   EXPECT_EQ(RunCli({"solve", "--in=" + snapshot, "--tau=1.5"}).code, 2);
 }
 
+// Thread budgets from the command line are range-checked before the
+// dataset is loaded, so an out-of-range budget never reaches a solve (a
+// load attempt would exit 1 on the missing file instead of 2).
+TEST(CliTest, SolveRejectsOutOfRangeThreadBudgets) {
+  for (const char* bad :
+       {"--threads=-1", "--threads=1025", "--threads=100000", "--threads=x"}) {
+    const CliOutcome r = RunCli({"solve", "--in=/nonexistent.csv",
+                                 "--algorithm=pin-par", bad});
+    EXPECT_EQ(r.code, 2) << bad;
+    EXPECT_NE(r.err.find("--threads must be an integer in [0, 1024]"),
+              std::string::npos)
+        << bad << ": " << r.err;
+  }
+  const std::string snapshot = TempPath("cli_threads.pino");
+  ASSERT_EQ(RunCli({"generate", "--profile=foursquare", "--scale=0.01",
+                    "--out=" + snapshot})
+                .code,
+            0);
+  const CliOutcome r = RunCli({"solve", "--in=" + snapshot,
+                               "--algorithm=pin-par", "--threads=2",
+                               "--candidates=20"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("PIN-P2"), std::string::npos) << r.out;
+}
+
 TEST(CliTest, DetailedStatsPrintsDistributions) {
   const std::string snapshot = TempPath("cli_detailed.pino");
   ASSERT_EQ(RunCli({"generate", "--profile=foursquare", "--scale=0.02",

@@ -126,6 +126,21 @@ TEST(FlagParserTest, UnknownFlags) {
   EXPECT_TRUE(FlagParser({"--good=1"}).UnknownFlags({"good"}).empty());
 }
 
+TEST(FlagParserTest, IntInRangeRejectsInsteadOfCasting) {
+  std::string error;
+  EXPECT_EQ(FlagParser({}).GetIntInRange("t", 1, 0, 8, &error), 1);
+  EXPECT_EQ(FlagParser({"--t=0"}).GetIntInRange("t", 1, 0, 8, &error), 0);
+  EXPECT_EQ(FlagParser({"--t", "8"}).GetIntInRange("t", 1, 0, 8, &error), 8);
+  EXPECT_TRUE(error.empty());
+  for (const char* bad : {"--t=-1", "--t=9", "--t=100000", "--t=x", "--t"}) {
+    error.clear();
+    EXPECT_FALSE(
+        FlagParser({bad}).GetIntInRange("t", 1, 0, 8, &error).has_value())
+        << bad;
+    EXPECT_EQ(error, "--t must be an integer in [0, 8]") << bad;
+  }
+}
+
 TEST(FlagParserTest, FlagNamesSorted) {
   const FlagParser flags({"--b=1", "--a=2"});
   const auto names = flags.FlagNames();

@@ -80,13 +80,14 @@ TEST(RngTest, UniformIntSingleton) {
 // (which seed every generated dataset) must stay identical to it.
 TEST(RngTest, UniformIntMatchesTextbookRejection) {
   const auto reference = [](Rng& rng, int64_t lo, int64_t hi) {
-    const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+    const uint64_t range =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
     const uint64_t limit = (~0ull) - ((~0ull) % range + 1) % range;
     uint64_t v;
     do {
       v = rng.Next();
     } while (v > limit);
-    return lo + static_cast<int64_t>(v % range);
+    return static_cast<int64_t>(static_cast<uint64_t>(lo) + v % range);
   };
   const int64_t kMax = std::numeric_limits<int64_t>::max();
   const std::vector<std::pair<int64_t, int64_t>> ranges = {
@@ -218,6 +219,38 @@ TEST(RngTest, SampleWithoutReplacementEmpty) {
   Rng rng(71);
   EXPECT_TRUE(rng.SampleWithoutReplacement(10, 0).empty());
   EXPECT_TRUE(rng.SampleWithoutReplacement(0, 0).empty());
+}
+
+// The textbook partial Fisher-Yates over a dense index vector: the draws
+// SampleWithoutReplacement must reproduce exactly.
+std::vector<size_t> DenseFisherYates(Rng& rng, size_t n, size_t k) {
+  std::vector<size_t> indices(n);
+  for (size_t i = 0; i < n; ++i) indices[i] = i;
+  std::vector<size_t> sample;
+  for (size_t i = 0; i < k; ++i) {
+    const auto j = static_cast<size_t>(
+        rng.UniformInt(static_cast<int64_t>(i), static_cast<int64_t>(n) - 1));
+    std::swap(indices[i], indices[j]);
+    sample.push_back(indices[i]);
+  }
+  return sample;
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesDenseFisherYates) {
+  const std::vector<std::pair<size_t, size_t>> shapes = {
+      {0, 0},  {1, 0},   {1, 1},     {10, 0},    {10, 3},     {10, 10},
+      {64, 64}, {65, 33}, {1000, 999}, {2360, 67}, {5000, 1}, {100000, 600}};
+  for (const auto& [n, k] : shapes) {
+    for (uint64_t seed : {1u, 7u, 12345u}) {
+      Rng sparse(seed);
+      Rng dense(seed);
+      EXPECT_EQ(sparse.SampleWithoutReplacement(n, k),
+                DenseFisherYates(dense, n, k))
+          << "n " << n << " k " << k << " seed " << seed;
+      // Same number of draws consumed: the streams stay in step.
+      EXPECT_EQ(sparse.Next(), dense.Next()) << "n " << n << " k " << k;
+    }
+  }
 }
 
 // Property sweep: PowerLawInt's empirical mean decreases with alpha.

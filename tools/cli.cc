@@ -3,6 +3,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "baselines/brnn_star.h"
@@ -22,7 +23,7 @@
 #include "eval/geojson.h"
 #include "eval/histogram.h"
 #include "eval/report.h"
-#include "parallel/parallel_solvers.h"
+#include "parallel/morsel_scheduler.h"
 #include "prob/power_law.h"
 #include "traj/traj_io.h"
 #include "util/flags.h"
@@ -53,7 +54,8 @@ Datasets are CSV check-ins (user_id,lat,lon[,venue_id]) or binary .pino
 snapshots written by `generate`.
 
 Algorithms: na, na-par, pin, pin-par, pin-grid, pin-hull, pin-vo,
-pin-vo-star, brnn, range.
+pin-vo-star, brnn, range. na-par and pin-par are NA and PIN at a thread
+budget of --threads (default 0 = hardware concurrency, at most 1024).
 )";
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
@@ -209,6 +211,13 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
           err)) {
     return rc;
   }
+  std::string threads_error;
+  const std::optional<int64_t> threads = flags.GetIntInRange(
+      "threads", 0, 0, kMaxThreadBudget, &threads_error);
+  if (!threads.has_value()) {
+    err << threads_error << "\n";
+    return 2;
+  }
   const auto path = flags.GetString("in");
   if (!path.has_value()) {
     err << "--in is required\n";
@@ -221,7 +230,6 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       static_cast<size_t>(flags.GetInt("candidates", 600));
   const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   const auto top = static_cast<size_t>(flags.GetInt("top", 10));
-  const auto threads = static_cast<size_t>(flags.GetInt("threads", 0));
 
   SolverConfig config;
   config.tau = flags.GetDouble("tau", 0.7);
@@ -268,11 +276,11 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   if (algorithm == "na") {
     solver = std::make_unique<NaiveSolver>();
   } else if (algorithm == "na-par") {
-    solver = std::make_unique<ParallelNaiveSolver>(threads);
+    solver = std::make_unique<NaiveSolver>(static_cast<size_t>(*threads));
   } else if (algorithm == "pin") {
     solver = std::make_unique<PinocchioSolver>();
   } else if (algorithm == "pin-par") {
-    solver = std::make_unique<ParallelPinocchioSolver>(threads);
+    solver = std::make_unique<PinocchioSolver>(static_cast<size_t>(*threads));
   } else if (algorithm == "pin-grid") {
     solver = std::make_unique<PinocchioGridSolver>();
   } else if (algorithm == "pin-hull") {

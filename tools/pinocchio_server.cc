@@ -10,12 +10,14 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "data/binary_io.h"
 #include "data/checkin_dataset.h"
 #include "data/csv_io.h"
+#include "parallel/morsel_scheduler.h"
 #include "prob/power_law.h"
 #include "serve/server.h"
 #include "serve/service.h"
@@ -39,8 +41,8 @@ constexpr char kUsage[] = R"(Usage: pinocchio_server [flags]
   --rho=F --lambda=F --unit-km=F
                     Power-law PF parameters (defaults 0.9 / 1.0 / 0.1).
   --topk-limit=N    top_k the snapshots are prepared with (default 16).
-  --solve_threads=N Morsel-engine worker budget per solve/topk request
-                    (default 1 = inline; 0 = hardware concurrency).
+  --solve_threads=N Thread budget per query, 0..1024 (default 1 = inline
+                    on the request thread; 0 = hardware concurrency).
   --stream-window=F Streaming ingestion window in seconds; enables the
                     observe/advance request family (default 0 = off).
   --approx-default  Route plain topk requests through the approximate
@@ -105,6 +107,13 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << error << "\n";
     }
     std::cerr << kUsage;
+    return 2;
+  }
+  std::string flag_error;
+  const std::optional<int64_t> solve_threads = flags.GetIntInRange(
+      "solve_threads", 1, 0, pinocchio::kMaxThreadBudget, &flag_error);
+  if (!solve_threads.has_value()) {
+    std::cerr << flag_error << "\n";
     return 2;
   }
 
@@ -191,8 +200,7 @@ int main(int argc, char** argv) {
   service_options.prepared_top_k =
       static_cast<size_t>(flags.GetInt("topk-limit", 16));
   service_options.pf_unit_meters = unit_meters;
-  service_options.solve_threads =
-      static_cast<size_t>(flags.GetInt("solve_threads", 1));
+  service_options.solve_threads = static_cast<size_t>(*solve_threads);
   service_options.stream_window_seconds =
       flags.GetDouble("stream-window", 0.0);
   if (service_options.stream_window_seconds < 0.0) {
